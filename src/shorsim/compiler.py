@@ -14,6 +14,12 @@ a**(2**(s-k)) mod n and produces classical bit k-1 of the readout y, so
 y accumulates least-significant-bit first. The stage-k feedback phase is
 -2*pi*P/2**k where P is the integer already accumulated in y. The
 simulator's oracle tests are what hold this convention to account.
+
+Every multiplier is therefore a power of the last one, a, and a Circuit
+accepts only that canonical schedule. Its work register is indexed by
+exponent: the orbit 1, a, ..., a**(r-1) of residue 1 is walked once per
+circuit, column j holds a**j, and the stage-k controlled multiply is a
+cyclic shift of the columns by 2**(s-k) mod r.
 """
 
 from __future__ import annotations
@@ -91,10 +97,12 @@ Gate = Union[PreparePlus, Hadamard, ControlledModMul, PhaseThenHadamard,
 
 
 def work_orbit(modulus: int, multipliers: tuple[int, ...]) -> list[int]:
-    """Residues reachable from 1 by the given multipliers, in BFS order.
+    """Residues reachable from 1 by the given multipliers.
 
     Closed under every multiplier, so it is the orbit of 1 under the
-    group they generate. Refuses past MAX_WORK_SPAN.
+    group they generate, listed breadth-first. For a single multiplier a
+    that is 1, a, a**2, ..., a**(r-1): entry j holds a**j, the exponent
+    basis of the simulator. Refuses past MAX_WORK_SPAN.
     """
     distinct = list(dict.fromkeys(m % modulus for m in multipliers))
     values = [1]
@@ -119,24 +127,27 @@ def work_orbit(modulus: int, multipliers: tuple[int, ...]) -> list[int]:
 class Circuit:
     """A staged readout circuit over one control qubit + work register.
 
-    gates must follow the canonical stage layout (see validate);
-    num_readout_bits is the stage count s; work_register_span counts the
-    distinct work values the circuit can reach, which is what the
-    simulator allocates.
+    gates must follow the canonical stage layout (see _validate), in
+    which the stage-k multiplier is the square of the stage-(k+1) one,
+    so every multiplier is a power of the last, a. num_readout_bits is
+    the stage count s. The orbit of residue 1 under a is walked once,
+    here; work_register_span is its length r, the order of a, which is
+    what the simulator allocates.
     """
 
     gates: tuple[Gate, ...]
     num_readout_bits: int
-    work_register_span: int
     _orbit: tuple[int, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "_orbit", tuple(self._validate()))
+        self._validate()
+        orbit = work_orbit(self.modulus, (self.multipliers[-1],))
+        object.__setattr__(self, "_orbit", tuple(orbit))
 
-    def _validate(self) -> list[int]:
+    def _validate(self) -> None:
         s = self.num_readout_bits
         if s < 1:
             raise CircuitFormatError("a circuit needs at least one stage")
@@ -145,7 +156,6 @@ class Circuit:
                 f"expected {4 * s} gates for {s} stages, got {len(self.gates)}"
             )
         modulus: Optional[int] = None
-        multipliers: list[int] = []
         for k in range(1, s + 1):
             prep, mul, mix, meas = self.gates[4 * (k - 1):4 * k]
             if not isinstance(prep, PreparePlus):
@@ -169,7 +179,6 @@ class Circuit:
                     f"stage {k}: multiplier {mul.multiplier} shares a factor "
                     f"with the modulus (not a permutation)"
                 )
-            multipliers.append(mul.multiplier)
             if k == 1:
                 if not isinstance(mix, Hadamard):
                     raise CircuitFormatError(
@@ -189,13 +198,13 @@ class Circuit:
                     f"stage {k}: must measure into classical bit {k - 1}"
                 )
         assert modulus is not None
-        orbit = work_orbit(modulus, tuple(multipliers))
-        if self.work_register_span != len(orbit):
-            raise CircuitFormatError(
-                f"declared work span {self.work_register_span} does not "
-                f"match the reachable span {len(orbit)}"
-            )
-        return orbit
+        multipliers = self.multipliers
+        for k in range(1, s):
+            if multipliers[k - 1] != multipliers[k] ** 2 % modulus:
+                raise CircuitFormatError(
+                    f"stage {k}: multiplier is not the square of the "
+                    f"stage-{k + 1} multiplier mod the modulus"
+                )
 
     @property
     def modulus(self) -> int:
@@ -205,13 +214,25 @@ class Circuit:
 
     @property
     def multipliers(self) -> tuple[int, ...]:
-        return tuple(
-            g.multiplier for g in self.gates
-            if isinstance(g, ControlledModMul)
-        )
+        return tuple(g.multiplier for g in self.gates[1::4])
+
+    @property
+    def work_register_span(self) -> int:
+        """Distinct work values reachable from 1: the order of a."""
+        return len(self._orbit)
+
+    @property
+    def stage_shifts(self) -> tuple[int, ...]:
+        """Per stage, the column shift its controlled multiply makes.
+
+        Stage k multiplies a**j by a**(2**(s-k)), moving column j to
+        column j + 2**(s-k) mod r.
+        """
+        s, r = self.num_readout_bits, self.work_register_span
+        return tuple(pow(2, s - k, r) for k in range(1, s + 1))
 
     def orbit_values(self) -> tuple[int, ...]:
-        """Reachable work-register values, index order = simulator basis."""
+        """Work values by column: entry j is a**j, the simulator basis."""
         return self._orbit
 
     def to_text(self) -> str:
@@ -330,21 +351,14 @@ def _gate_from_json(entry: dict) -> Gate:
 
 def _assemble(gates: list[Gate], declared_span: Optional[int]) -> Circuit:
     s = sum(1 for g in gates if isinstance(g, MeasureQubit))
-    if s == 0:
-        raise CircuitFormatError("circuit has no measurement")
-    moduli = [g.modulus for g in gates if isinstance(g, ControlledModMul)]
-    if not moduli:
-        raise CircuitFormatError("circuit has no CMODMUL gate")
-    multipliers = tuple(
-        g.multiplier for g in gates if isinstance(g, ControlledModMul)
-    )
-    span = len(work_orbit(moduli[0], multipliers))
+    circuit = Circuit(tuple(gates), s)
+    span = circuit.work_register_span
     if declared_span is not None and declared_span != span:
         raise CircuitFormatError(
             f"declared work span {declared_span} does not match the "
             f"reachable span {span}"
         )
-    return Circuit(tuple(gates), s, span)
+    return circuit
 
 
 @dataclass(frozen=True)
@@ -407,7 +421,7 @@ def build_compiled_circuit(base: CompiledBase) -> Circuit:
         Hadamard(),
         MeasureQubit(0),
     )
-    return Circuit(gates, 1, 2)
+    return Circuit(gates, 1)
 
 
 def default_s(n: int) -> int:
@@ -442,11 +456,7 @@ def build_semiclassical_stages(a: int, n: int, s: Optional[int] = None) -> Circu
         gates.append(ControlledModMul(mod_pow(a, 1 << (s - k), n), n))
         gates.append(Hadamard() if k == 1 else PhaseThenHadamard(k))
         gates.append(MeasureQubit(k - 1))
-    multipliers = tuple(
-        g.multiplier for g in gates if isinstance(g, ControlledModMul)
-    )
-    span = len(work_orbit(n, multipliers))
-    return Circuit(tuple(gates), s, span)
+    return Circuit(tuple(gates), s)
 
 
 @dataclass(frozen=True)

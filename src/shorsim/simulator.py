@@ -1,10 +1,12 @@
 """Exact state-vector execution of the circuit IR.
 
 The state is one control qubit tensored with a work register whose
-basis is the circuit's reachable-residue orbit, nothing more. That
-orbit has size equal to the multiplicative order of the base, which is
-why the compiled circuit gets away with two work values while an honest
-run pays for the full cycle. Measurement collapses mid-circuit and the
+basis is the circuit's orbit of residue 1, nothing more: column j holds
+a**j for the last-stage multiplier a. That orbit has size equal to the
+multiplicative order r of a, which is why the compiled circuit gets
+away with two work values while an honest run pays for the full cycle.
+In this basis each controlled multiply is a cyclic shift of the columns
+(Circuit.stage_shifts). Measurement collapses mid-circuit and the
 classical bits feed the later phase gates.
 
 Two exact-distribution routes exist on purpose: output_distribution
@@ -16,19 +18,11 @@ plain dense-Fourier reference. Tests hold the two to each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .compiler import (
-    Circuit,
-    ControlledModMul,
-    Hadamard,
-    MeasureQubit,
-    PhaseThenHadamard,
-    PreparePlus,
-)
+from .compiler import Circuit
 from .errors import DomainError, RefusedTooLargeError, SimulationError
 from .numtheory import gcd, multiplicative_order
 
@@ -46,7 +40,7 @@ class QuantumState:
     """Control qubit tensor work register, plus measured classical bits.
 
     amps has shape (2, W): row 0 is the control-|0> block, row 1 the
-    control-|1> block, columns indexed by the work orbit.
+    control-|1> block; column j holds work value a**j (work_values[j]).
     """
 
     amps: np.ndarray
@@ -146,20 +140,14 @@ def total_variation(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
 
 
 def _stage_perm_invs(circuit: Circuit) -> np.ndarray:
-    """Per-stage inverse permutations over the work orbit, int64[s, W]."""
-    values = circuit.orbit_values()
-    index = {v: i for i, v in enumerate(values)}
-    modulus = circuit.modulus
-    span = len(values)
-    out = np.empty((circuit.num_readout_bits, span), dtype=np.int64)
-    for stage, mult in enumerate(circuit.multipliers):
-        perm = np.empty(span, dtype=np.int64)
-        for i, v in enumerate(values):
-            perm[i] = index[v * mult % modulus]
-        inv = np.empty(span, dtype=np.int64)
-        inv[perm] = np.arange(span, dtype=np.int64)
-        out[stage] = inv
-    return out
+    """Per-stage inverse permutations over the work orbit, int64[s, W].
+
+    Row k-1 sends column i to column i - shift_k mod W, so gathering by
+    it is the stage-k cyclic shift.
+    """
+    span = circuit.work_register_span
+    shifts = np.array(circuit.stage_shifts, dtype=np.int64)
+    return (np.arange(span, dtype=np.int64) - shifts[:, None]) % span
 
 
 def _feedback_phase(stage: int, bits: list[int]) -> float:
@@ -180,61 +168,42 @@ def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
     rng = np.random.Generator(np.random.PCG64(seed))
     values = circuit.orbit_values()
     span = len(values)
-    perm_invs = _stage_perm_invs(circuit)
-
     work = np.zeros(span, dtype=np.complex128)
-    work[0] = 1.0  # residue 1 sits at orbit index 0
-    amps = np.zeros((2, span), dtype=np.complex128)
-    amps[0] = work
+    work[0] = 1.0  # residue 1 = a**0 sits in column 0
     bits: list[int] = []
     records: list[StageRecord] = []
-    stage = 0
-    pending_phase = 0.0
-
-    def check_norm() -> None:
+    stages = zip(circuit.multipliers, circuit.stage_shifts)
+    for stage, (multiplier, shift) in enumerate(stages, start=1):
+        # PREP+, then the controlled multiply shifts the control-|1> block
+        amps = np.vstack((work, np.roll(work, shift))) / np.sqrt(2.0)
+        phase = 0.0
+        if stage > 1:
+            phase = _feedback_phase(stage, bits)
+            amps[1] *= np.exp(1j * phase)
+        amps = np.vstack((amps[0] + amps[1], amps[0] - amps[1])) / np.sqrt(2.0)
         total = float(np.vdot(amps, amps).real)
         if abs(total - 1.0) > NORM_TOLERANCE:
             raise SimulationError(f"state norm drifted to {total}")
-
-    for gate in circuit.gates:
-        if isinstance(gate, PreparePlus):
-            stage += 1
-            amps = np.vstack((work, work)) / np.sqrt(2.0)
-            pending_phase = 0.0
-        elif isinstance(gate, ControlledModMul):
-            amps[1] = amps[1][perm_invs[stage - 1]]
-        elif isinstance(gate, Hadamard):
-            top = (amps[0] + amps[1]) / np.sqrt(2.0)
-            bottom = (amps[0] - amps[1]) / np.sqrt(2.0)
-            amps = np.vstack((top, bottom))
-        elif isinstance(gate, PhaseThenHadamard):
-            pending_phase = _feedback_phase(gate.stage, bits)
-            amps[1] = amps[1] * np.exp(1j * pending_phase)
-            top = (amps[0] + amps[1]) / np.sqrt(2.0)
-            bottom = (amps[0] - amps[1]) / np.sqrt(2.0)
-            amps = np.vstack((top, bottom))
-        elif isinstance(gate, MeasureQubit):
-            p1 = float(np.vdot(amps[1], amps[1]).real)
-            outcome = 1 if rng.random() < p1 else 0
-            p_outcome = p1 if outcome == 1 else 1.0 - p1
-            work = amps[outcome] / np.sqrt(p_outcome)
-            amps = np.zeros((2, span), dtype=np.complex128)
-            amps[outcome] = work
-            bits.append(outcome)
-            records.append(StageRecord(
-                stage=stage,
-                multiplier=circuit.multipliers[stage - 1],
-                phase=pending_phase,
-                p_one=p1,
-                bit=outcome,
-            ))
-        else:  # pragma: no cover - the union is closed
-            raise SimulationError(f"unknown gate {gate!r}")
-        check_norm()
+        p1 = float(np.vdot(amps[1], amps[1]).real)
+        outcome = 1 if rng.random() < p1 else 0
+        # renormalise by the kept block's own norm, not by its odds, so
+        # rounding error cannot grow by 1/p over unlikely outcomes
+        kept = amps[outcome]
+        work = kept / np.sqrt(float(np.vdot(kept, kept).real))
+        bits.append(outcome)
+        records.append(StageRecord(
+            stage=stage,
+            multiplier=multiplier,
+            phase=phase,
+            p_one=p1,
+            bit=outcome,
+        ))
 
     y = 0
     for j, bit in enumerate(bits):
         y |= bit << j
+    amps = np.zeros((2, span), dtype=np.complex128)
+    amps[bits[-1]] = work
     final = QuantumState(
         amps=amps,
         classical_bits=list(bits),

@@ -1,9 +1,11 @@
 """Circuit construction, validation, serialization, qubit budgets."""
 
+import json
 import random
 
 import pytest
 
+from shorsim import compiler
 from shorsim.compiler import (
     MAX_WORK_SPAN,
     Circuit,
@@ -172,6 +174,22 @@ class TestSemiclassicalCircuit:
             circuit = build_semiclassical_stages(a, n, 4)
             assert circuit.work_register_span == multiplicative_order(a, n)
 
+    def test_work_register_is_indexed_by_exponent(self):
+        circuit = build_semiclassical_stages(7, 15, 8)
+        assert circuit.orbit_values() == (1, 7, 4, 13)
+        assert circuit.stage_shifts == (0, 0, 0, 0, 0, 0, 2, 1)
+
+    def test_orbit_is_walked_once_per_circuit(self, monkeypatch):
+        calls = []
+
+        def counted(modulus, multipliers):
+            calls.append(multipliers)
+            return work_orbit(modulus, multipliers)
+
+        monkeypatch.setattr(compiler, "work_orbit", counted)
+        build_semiclassical_stages(2, 33, 6)
+        assert calls == [(2,)]
+
     def test_single_stage_equals_compiled(self):
         sp = Semiprime.from_factors(3, 5)
         _, high = find_period2_bases(sp)
@@ -209,60 +227,50 @@ class TestCircuitValidation:
             gates.append(MeasureQubit(k - 1))
         return gates
 
-    def _span(self, gates):
-        mods = [g for g in gates if isinstance(g, ControlledModMul)]
-        return len(work_orbit(mods[0].modulus,
-                              tuple(g.multiplier for g in mods)))
-
     def test_valid_gates_accepted(self):
         gates = self._gates()
-        Circuit(tuple(gates), 2, self._span(gates))
+        Circuit(tuple(gates), 2)
 
     def test_feedback_gate_at_stage_one_rejected(self):
         gates = self._gates()
         gates[2] = PhaseThenHadamard(1)
         with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2, self._span(gates))
+            Circuit(tuple(gates), 2)
 
     def test_plain_hadamard_at_later_stage_rejected(self):
         gates = self._gates()
         gates[6] = Hadamard()
         with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2, self._span(gates))
+            Circuit(tuple(gates), 2)
 
     def test_misnumbered_feedback_stage_rejected(self):
         gates = self._gates(s=3)
         gates[10] = PhaseThenHadamard(2)  # stage 3 slot
         with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 3, self._span(gates))
+            Circuit(tuple(gates), 3)
 
     def test_measurement_bit_order_enforced(self):
         gates = self._gates()
         gates[3], gates[7] = gates[7], gates[3]
         with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2, self._span(gates))
+            Circuit(tuple(gates), 2)
 
     def test_mixed_moduli_rejected(self):
         gates = self._gates()
         gates[5] = ControlledModMul(2, 21)
         with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2, 4)
+            Circuit(tuple(gates), 2)
 
     def test_non_unit_multiplier_rejected(self):
         gates = self._gates()
         gates[1] = ControlledModMul(6, 15)
         with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2, 4)
-
-    def test_wrong_span_rejected(self):
-        gates = self._gates()
-        with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2, self._span(gates) + 1)
+            Circuit(tuple(gates), 2)
 
     def test_wrong_gate_count_rejected(self):
         gates = self._gates()[:-1]
         with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2, 4)
+            Circuit(tuple(gates), 2)
 
 
 class TestSerialization:
@@ -316,6 +324,19 @@ class TestSerialization:
         payload["work_register_span"] += 1
         with pytest.raises(CircuitFormatError):
             Circuit.from_json_dict(payload)
+
+    def test_text_rejects_non_canonical_multipliers(self):
+        lines = build_semiclassical_stages(2, 33, 4).to_text().splitlines()
+        lines[1], lines[5] = lines[5], lines[1]  # swap stages 1 and 2
+        with pytest.raises(CircuitFormatError, match="square"):
+            Circuit.from_text("\n".join(lines) + "\n")
+
+    def test_json_rejects_non_canonical_multipliers(self):
+        payload = build_semiclassical_stages(2, 33, 4).to_json_dict()
+        gates = payload["gates"]
+        gates[1], gates[5] = gates[5], gates[1]  # swap stages 1 and 2
+        with pytest.raises(CircuitFormatError, match="square"):
+            Circuit.from_json(json.dumps(payload))
 
     def test_json_wrong_format_tag_rejected(self):
         with pytest.raises(CircuitFormatError):

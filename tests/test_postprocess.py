@@ -318,6 +318,14 @@ class TestRunFullHonest:
             run_full_algorithm(Semiprime(15), mode="honest", seed=0,
                                max_attempts=0)
 
+    def test_unlikely_outcomes_keep_the_state_normalised(self):
+        # this seed samples outcomes of small probability; renormalising
+        # by that probability instead of the kept block's norm once let
+        # rounding error pass the norm check and crash the run
+        rep = run_full_algorithm(Semiprime(8191), mode="honest",
+                                 seed=9045414)
+        assert rep.factors is None
+
     def test_deterministic_per_seed(self):
         a = run_full_algorithm(Semiprime(15), mode="honest", seed=9)
         b = run_full_algorithm(Semiprime(15), mode="honest", seed=9)
