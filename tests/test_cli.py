@@ -118,11 +118,17 @@ class TestDist:
         payload = json.loads(out)
         assert payload["probabilities"] == {"0": 0.5, "1": 0.5}
 
-    def test_oversized_modulus_refused(self, capsys):
-        n = str((1 << 16) + 3)
-        a = str((1 << 16) + 2)
+    def test_compiled_large_modulus_is_unbiased(self, capsys):
+        # two work values, so two cells, whatever the size of p*q
+        code, out, _ = run_cli(capsys, "dist", "--kind", "compiled",
+                               "--p", "1000003", "--q", "1000033")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["probabilities"] == {"0": 0.5, "1": 0.5}
+
+    def test_too_many_readout_bits_refused(self, capsys):
         code, _, err = run_cli(capsys, "dist", "--kind", "semiclassical",
-                               "--a", a, "--n", n, "--s", "2")
+                               "--a", "7", "--n", "15", "--s", "21")
         assert code == 4
         assert json.loads(err)["error"]["type"] == "RefusedTooLargeError"
 
