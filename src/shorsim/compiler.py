@@ -25,6 +25,7 @@ cyclic shift of the columns by 2**(s-k) mod r.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -35,14 +36,7 @@ from .errors import (
     NotCompilableError,
     RefusedTooLargeError,
 )
-from .numtheory import (
-    Semiprime,
-    gcd,
-    mod_pow,
-    parse_decimal,
-    sqrt1_roots_with_signs,
-    to_decimal,
-)
+from .numtheory import Semiprime, _crt_sqrt1_roots, parse_decimal, to_decimal
 
 # The simulator allocates one complex amplitude per reachable work value,
 # so this caps both memory and the orbit walk.
@@ -96,30 +90,24 @@ Gate = Union[PreparePlus, Hadamard, ControlledModMul, PhaseThenHadamard,
              MeasureQubit]
 
 
-def work_orbit(modulus: int, multipliers: tuple[int, ...]) -> list[int]:
-    """Residues reachable from 1 by the given multipliers.
+def work_orbit(modulus: int, multiplier: int) -> list[int]:
+    """The orbit of residue 1 under one multiplier a, a unit mod modulus.
 
-    Closed under every multiplier, so it is the orbit of 1 under the
-    group they generate, listed breadth-first. For a single multiplier a
-    that is 1, a, a**2, ..., a**(r-1): entry j holds a**j, the exponent
-    basis of the simulator. Refuses past MAX_WORK_SPAN.
+    Entry j holds a**j, so the list is 1, a, a**2, ..., a**(r-1) with r
+    the order of a: the exponent basis of the simulator. Refuses once
+    the walk would pass MAX_WORK_SPAN values.
     """
-    distinct = list(dict.fromkeys(m % modulus for m in multipliers))
+    if modulus < 2 or math.gcd(multiplier, modulus) != 1:
+        raise DomainError(f"{multiplier} is not a unit mod {modulus}")
     values = [1]
-    index = {1: 0}
-    cursor = 0
-    while cursor < len(values):
-        v = values[cursor]
-        cursor += 1
-        for m in distinct:
-            w = v * m % modulus
-            if w not in index:
-                if len(values) >= MAX_WORK_SPAN:
-                    raise RefusedTooLargeError(
-                        f"work register span exceeds {MAX_WORK_SPAN}"
-                    )
-                index[w] = len(values)
-                values.append(w)
+    w = multiplier % modulus
+    while w != 1:
+        if len(values) >= MAX_WORK_SPAN:
+            raise RefusedTooLargeError(
+                f"work register span exceeds {MAX_WORK_SPAN}"
+            )
+        values.append(w)
+        w = w * multiplier % modulus
     return values
 
 
@@ -144,7 +132,7 @@ class Circuit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
         self._validate()
-        orbit = work_orbit(self.modulus, (self.multipliers[-1],))
+        orbit = work_orbit(self.modulus, self.multipliers[-1])
         object.__setattr__(self, "_orbit", tuple(orbit))
 
     def _validate(self) -> None:
@@ -174,7 +162,7 @@ class Circuit:
                 raise CircuitFormatError(
                     f"stage {k}: multiplier must lie in [1, modulus)"
                 )
-            if gcd(mul.multiplier, mul.modulus) != 1:
+            if math.gcd(mul.multiplier, mul.modulus) != 1:
                 raise CircuitFormatError(
                     f"stage {k}: multiplier {mul.multiplier} shares a factor "
                     f"with the modulus (not a permutation)"
@@ -380,7 +368,7 @@ class CompiledBase:
             raise DomainError("base must lie strictly between 1 and n-1")
         if self.period < 1:
             raise DomainError("period must be positive")
-        if mod_pow(self.a, self.period, self.n) != 1:
+        if pow(self.a, self.period, self.n) != 1:
             raise DomainError("a**period is not 1 mod n")
 
 
@@ -392,7 +380,8 @@ def find_period2_bases(sp: Semiprime) -> tuple[CompiledBase, CompiledBase]:
             "the compiled pipeline's input, not its output"
         )
     assert sp.p is not None and sp.q is not None
-    (a1, s1), (a2, s2) = sqrt1_roots_with_signs(sp.p, sp.q)
+    # Semiprime validated both primes on construction; no second verdict.
+    (a1, s1), (a2, s2) = _crt_sqrt1_roots(sp.p, sp.q)
     return (
         CompiledBase(a1, sp.n, 2, s1),
         CompiledBase(a2, sp.n, 2, s2),
@@ -441,7 +430,7 @@ def build_semiclassical_stages(a: int, n: int, s: Optional[int] = None) -> Circu
     if n < 2:
         raise DomainError("modulus must be at least 2")
     a %= n
-    if gcd(a, n) != 1:
+    if math.gcd(a, n) != 1:
         raise DomainError(
             f"{a} shares a factor with {n}; a free factor should have been "
             f"taken classically instead of building a circuit"
@@ -453,7 +442,7 @@ def build_semiclassical_stages(a: int, n: int, s: Optional[int] = None) -> Circu
     gates: list[Gate] = []
     for k in range(1, s + 1):
         gates.append(PreparePlus())
-        gates.append(ControlledModMul(mod_pow(a, 1 << (s - k), n), n))
+        gates.append(ControlledModMul(pow(a, 1 << (s - k), n), n))
         gates.append(Hadamard() if k == 1 else PhaseThenHadamard(k))
         gates.append(MeasureQubit(k - 1))
     return Circuit(tuple(gates), s)

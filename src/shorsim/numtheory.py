@@ -2,14 +2,17 @@
 
 Everything here runs on plain Python ints, which are unbounded, so the
 same code path serves N = 15 and a 20000-bit semiprime. The classical
-half of the factoring pipeline lives in this module: Euclid, Bezout
-coefficients, modular inverses and powers, brute-force order finding
-(test oracle only, guarded), continued fractions, and the CRT
-construction of the nontrivial square roots of 1 mod pq.
+half of the factoring pipeline lives in this module: checked wrappers
+around the interpreter's gcd, modular power and inverse, primality
+testing, brute-force order finding (test oracle only, guarded),
+continued fractions, and the CRT construction of the nontrivial square
+roots of 1 mod pq. Inside the package, callers whose inputs are already
+in range call pow and math.gcd directly.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -44,31 +47,10 @@ def _check_nonneg(*values: int) -> None:
 
 
 def gcd(a: int, b: int) -> int:
-    """Greatest common divisor by Euclid's algorithm. gcd(a, 0) = a."""
+    """Greatest common divisor of two nonnegative ints: math.gcd with
+    input checks. gcd(a, 0) = a."""
     _check_nonneg(a, b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g = gcd(a, b).
-
-    The coefficients are signed and not unique; any valid Bezout pair
-    may be returned.
-    """
-    _check_nonneg(a, b)
-    if a == 0 and b == 0:
-        raise DomainError("ext_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    return old_r, old_u, old_v
+    return math.gcd(a, b)
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -80,27 +62,19 @@ def mod_inverse(a: int, m: int) -> int:
     _check_nonneg(a, m)
     if m < 2:
         raise DomainError("modulus must be at least 2")
-    g, u, _ = ext_gcd(a % m, m)
-    if g != 1:
-        raise NotInvertibleError(a, m, g)
-    return u % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(a, m, math.gcd(a, m)) from None
 
 
 def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m by square-and-multiply."""
+    """base**exp mod m for nonnegative ints: the builtin pow with input
+    checks. m = 1 gives 0."""
     _check_nonneg(base, exp, m)
     if m == 0:
         raise DomainError("modulus must be positive")
-    if m == 1:
-        return 0
-    result = 1
-    b = base % m
-    while exp:
-        if exp & 1:
-            result = result * b % m
-        b = b * b % m
-        exp >>= 1
-    return result
+    return pow(base, exp, m)
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -119,7 +93,7 @@ def multiplicative_order(a: int, n: int) -> int:
             f"limit is {ORDER_SCAN_LIMIT.bit_length() - 1}"
         )
     a %= n
-    if gcd(a, n) != 1:
+    if math.gcd(a, n) != 1:
         raise DomainError(f"{a} is not a unit mod {n}")
     r = 1
     x = a
@@ -195,11 +169,12 @@ def _is_small_prime(n: int) -> Optional[bool]:
     return None
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with a trial-division prefilter.
 
-    Witnesses come from an RNG seeded by n itself, so the verdict is
-    deterministic per input. Error probability below 4**-rounds.
+    MILLER_RABIN_ROUNDS witnesses come from an RNG seeded by n itself,
+    so the verdict is deterministic per input. Error probability below
+    4**-MILLER_RABIN_ROUNDS.
     """
     _check_nonneg(n)
     quick = _is_small_prime(n)
@@ -211,9 +186,9 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
         d //= 2
         s += 1
     rng = random.Random(n ^ 0x5BF03635)
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
-        x = mod_pow(a, d, n)
+        x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
@@ -258,11 +233,17 @@ def sqrt1_roots_with_signs(
         raise DomainError("p and q must be distinct (CRT needs coprimality)")
     _validate_odd_prime(p, "p")
     _validate_odd_prime(q, "q")
+    return _crt_sqrt1_roots(p, q)
+
+
+def _crt_sqrt1_roots(
+    p: int, q: int
+) -> tuple[tuple[int, tuple[str, str]], tuple[int, tuple[str, str]]]:
+    """sqrt1_roots_with_signs for distinct odd primes already validated,
+    as the factors of a Semiprime are."""
     n = p * q
-    p_q = mod_inverse(p % q, q)
-    q_p = mod_inverse(q % p, p)
-    e_q = p * p_q % n  # 0 mod p, 1 mod q
-    e_p = q * q_p % n  # 1 mod p, 0 mod q
+    e_q = p * pow(p, -1, q) % n  # 0 mod p, 1 mod q
+    e_p = q * pow(q, -1, p) % n  # 1 mod p, 0 mod q
     first = ((e_q - e_p) % n, ("+", "-"))
     second = ((e_p - e_q) % n, ("-", "+"))
     lo, hi = sorted((first, second))
@@ -286,7 +267,8 @@ class Semiprime:
     Knowing p and q is the compiled pipeline's explicit cheat: the
     factorization goes in before any circuit runs. Factors up to
     AUTO_PRIMALITY_BIT_LIMIT bits are primality-checked on construction;
-    larger ones get arithmetic checks only.
+    larger ones get arithmetic checks only. The instance is frozen, so
+    that one verdict per prime stands for every later use.
     """
 
     n: int

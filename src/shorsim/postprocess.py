@@ -30,8 +30,6 @@ from .numtheory import (
     Convergent,
     Semiprime,
     continued_fraction_convergents,
-    gcd,
-    mod_pow,
     to_decimal,
 )
 
@@ -98,7 +96,7 @@ def extract_period(y: int, s_pow: int, a: int, n: int) -> Optional[PeriodCandida
             if candidate > n or candidate in seen:
                 continue
             seen.add(candidate)
-            if mod_pow(a, candidate, n) == 1:
+            if pow(a, candidate, n) == 1:
                 return PeriodCandidate(
                     r=candidate,
                     source_convergent=conv,
@@ -118,15 +116,15 @@ def derive_factors(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
     """
     if r < 1:
         raise DomainError("period must be positive")
-    if mod_pow(a, r, n) != 1:
+    if pow(a, r, n) != 1:
         raise DomainError(f"{a}**{r} is not 1 mod {n}: not a period")
     if r % 2 == 1:
         return odd_period_rescue(a, r, n)
-    x = mod_pow(a, r // 2, n)
+    x = pow(a, r // 2, n)
     if x == n - 1:
         return None
-    g1 = gcd(x - 1, n)
-    g2 = gcd(x + 1, n)
+    g1 = math.gcd(x - 1, n)
+    g2 = math.gcd(x + 1, n)
     if 1 < g1 < n and 1 < g2 < n:
         lo, hi = sorted((g1, g2))
         return lo, hi
@@ -142,14 +140,14 @@ def odd_period_rescue(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
     """
     if r < 1 or r % 2 == 0:
         raise DomainError("rescue applies to odd periods only")
-    if mod_pow(a, r, n) != 1:
+    if pow(a, r, n) != 1:
         raise DomainError(f"{a}**{r} is not 1 mod {n}: not a period")
     b = math.isqrt(a)
     if b * b != a:
         return None
-    x = mod_pow(b, r, n)
-    g1 = gcd((x - 1) % n, n)
-    g2 = gcd(x + 1, n)
+    x = pow(b, r, n)
+    g1 = math.gcd((x - 1) % n, n)
+    g2 = math.gcd(x + 1, n)
     if 1 < g1 < n and 1 < g2 < n:
         lo, hi = sorted((g1, g2))
         return lo, hi
@@ -314,12 +312,13 @@ def run_full_algorithm(
     """The whole loop: pick a base, run the circuit, recover the period,
     derive factors, retry on dead ends.
 
-    Honest mode draws bases uniformly from [2, n-2] and simulates the
-    staged circuit with s = s_override or default_s(n). Compiled mode
-    uses the CRT period-2 base (factors required) and the one-stage
-    circuit. Coin mode hands off to the coin-toss reduction with
-    max_attempts tosses. Deterministic per seed; exhausting max_attempts
-    yields a report with factors = None rather than an exception.
+    Honest mode refuses a perfect-square n, draws bases uniformly from
+    [2, n-2] and simulates the staged circuit with s = s_override or
+    default_s(n). Compiled mode uses the CRT period-2 base (factors
+    required) and the one-stage circuit. Coin mode hands off to the
+    coin-toss reduction with max_attempts tosses. Deterministic per
+    seed; exhausting max_attempts yields a report with factors = None
+    rather than an exception.
     """
     mode = canonical_mode(mode)
     n = sp.n
@@ -345,6 +344,11 @@ def run_full_algorithm(
                 f"honest mode simulates the full residue cycle and refuses "
                 f"moduli at or above {HONEST_MODULUS_LIMIT}"
             )
+        if math.isqrt(n) ** 2 == n:
+            raise DomainError(
+                f"{n} is a perfect square, never a product of two distinct "
+                f"primes"
+            )
         if s is None:
             s = default_s(n)
 
@@ -363,7 +367,7 @@ def run_full_algorithm(
         else:
             a = master.randrange(2, n - 1)
             last_base = a
-            shortcut = gcd(a, n)
+            shortcut = math.gcd(a, n)
             if shortcut > 1:
                 factors = _normalized_factors(shortcut, n)
                 details.append(AttemptRecord(

@@ -26,6 +26,7 @@ order of a alone. Tests hold the two to each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .compiler import Circuit
 from .errors import DomainError, RefusedTooLargeError, SimulationError
-from .numtheory import gcd, multiplicative_order
+from .numtheory import multiplicative_order
 
 # Exact enumeration refuses beyond these. The readout cap keeps the
 # dense outcome vector a desk-scale object. The cell cap bounds the
@@ -258,7 +259,7 @@ def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
     if s < 1:
         raise DomainError("need at least one readout bit")
     a %= n
-    if gcd(a, n) != 1:
+    if math.gcd(a, n) != 1:
         raise DomainError(f"{a} is not a unit mod {n}")
     big_s = 1 << s
     r = multiplicative_order(a, n)

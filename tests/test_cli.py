@@ -186,6 +186,14 @@ class TestFactor:
         assert code == 4
         assert json.loads(err)["error"]["type"] == "RefusedTooLargeError"
 
+    def test_honest_perfect_square_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "--n", "44521")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "perfect square" in error["message"]
+
 
 class TestCoinDemo:
     def test_output_shape(self, capsys):

@@ -73,23 +73,28 @@ class TestDefaultS:
 
 class TestWorkOrbit:
     def test_single_generator(self):
-        assert work_orbit(15, (7,)) == [1, 7, 4, 13]
-        assert work_orbit(15, (4,)) == [1, 4]
-        assert work_orbit(21, (4,)) == [1, 4, 16]
+        assert work_orbit(15, 7) == [1, 7, 4, 13]
+        assert work_orbit(15, 4) == [1, 4]
+        assert work_orbit(21, 4) == [1, 4, 16]
 
-    def test_orbit_is_closed(self):
-        values = work_orbit(35, (2, 3))
-        index = set(values)
-        for v in values:
-            assert v * 2 % 35 in index
-            assert v * 3 % 35 in index
+    def test_non_unit_rejected(self):
+        # 3 never returns to 1 mod 15; the walk must not run to the cap
+        with pytest.raises(DomainError):
+            work_orbit(15, 3)
 
     def test_span_guard(self):
         # 3 has order 2**23 mod 2**25 (it generates the odd part of the
         # unit group mod a power of two), well past the span cap
         with pytest.raises(RefusedTooLargeError):
-            work_orbit(1 << 25, (3,))
+            work_orbit(1 << 25, 3)
         assert MAX_WORK_SPAN == 1 << 20
+
+    def test_span_boundary(self):
+        # the order of 3 mod 2**k is 2**(k-2): an orbit of exactly
+        # MAX_WORK_SPAN values is accepted, and a longer one refused
+        assert len(work_orbit(1 << 22, 3)) == MAX_WORK_SPAN
+        with pytest.raises(RefusedTooLargeError):
+            work_orbit(1 << 23, 3)
 
 
 class TestCompiledBase:
@@ -182,13 +187,13 @@ class TestSemiclassicalCircuit:
     def test_orbit_is_walked_once_per_circuit(self, monkeypatch):
         calls = []
 
-        def counted(modulus, multipliers):
-            calls.append(multipliers)
-            return work_orbit(modulus, multipliers)
+        def counted(modulus, multiplier):
+            calls.append(multiplier)
+            return work_orbit(modulus, multiplier)
 
         monkeypatch.setattr(compiler, "work_orbit", counted)
         build_semiclassical_stages(2, 33, 6)
-        assert calls == [(2,)]
+        assert calls == [2]
 
     def test_single_stage_equals_compiled(self):
         sp = Semiprime.from_factors(3, 5)

@@ -7,6 +7,7 @@ import pytest
 from shorsim.errors import DomainError
 from shorsim.fixtures import (
     FIXTURE_ENV,
+    SupplementaryFixture,
     available_fixtures,
     fixture_root,
     load_fixture,
@@ -118,3 +119,13 @@ class TestVerification:
         fx = load_fixture(broken)
         checks = dict(verify_fixture(fx))
         assert checks["p * q == n"] is False
+
+    def test_zero_modulus_rejected(self):
+        with pytest.raises(DomainError):
+            verify_fixture(SupplementaryFixture("zero", 0, 3, 5, (4,)))
+
+    def test_zero_base_fails_its_checks(self):
+        fx = SupplementaryFixture("zero-base", 15, 3, 5, (0,))
+        failed = [label for label, ok in verify_fixture(fx) if not ok]
+        assert failed == ["1 < a < n - 1", "a**2 == 1 mod n",
+                          "gcd(a -/+ 1, n) reproduce p and q"]

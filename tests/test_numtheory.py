@@ -20,7 +20,6 @@ from shorsim.numtheory import (
     Convergent,
     Semiprime,
     continued_fraction_convergents,
-    ext_gcd,
     gcd,
     is_probable_prime,
     mod_inverse,
@@ -53,20 +52,6 @@ class TestGcd:
     @given(st.integers(0, 1 << 256), st.integers(0, 1 << 256))
     def test_matches_stdlib(self, a, b):
         assert gcd(a, b) == math.gcd(a, b)
-
-
-class TestExtGcd:
-    def test_zero_zero_rejected(self):
-        with pytest.raises(DomainError):
-            ext_gcd(0, 0)
-
-    @given(st.integers(0, 1 << 512), st.integers(0, 1 << 512))
-    def test_bezout_identity(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g, u, v = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert u * a + v * b == g
 
 
 class TestModInverse:

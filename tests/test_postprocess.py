@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from shorsim import numtheory
 from shorsim.compiler import build_semiclassical_stages
 from shorsim.errors import DomainError, RefusedTooLargeError
 from shorsim.fixtures import load_fixture
@@ -318,6 +319,12 @@ class TestRunFullHonest:
             run_full_algorithm(Semiprime(15), mode="honest", seed=0,
                                max_attempts=0)
 
+    def test_perfect_square_rejected(self):
+        # 211**2: modulo a prime power the only square roots of 1 are
+        # +-1, so no attempt could ever split it
+        with pytest.raises(DomainError, match="perfect square"):
+            run_full_algorithm(Semiprime(44521), mode="honest", seed=0)
+
     def test_unlikely_outcomes_keep_the_state_normalised(self):
         # this seed samples outcomes of small probability; renormalising
         # by that probability instead of the kept block's norm once let
@@ -383,6 +390,24 @@ class TestRunFullCompiled:
                                  mode="compiled", seed=7)
         assert "2" in rep.honesty_note
         assert "768-bit" in rep.honesty_note
+
+
+@pytest.mark.parametrize("mode", ["compiled", "coin"])
+def test_each_prime_is_tested_once(monkeypatch, mode):
+    # Semiprime validates p and q; the run must trust that verdict
+    calls = []
+    original = numtheory.is_probable_prime
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(numtheory, "is_probable_prime", counted)
+    p, q = 18446744073709551557, 18446744073709551533
+    rep = run_full_algorithm(Semiprime.from_factors(p, q), mode=mode,
+                             seed=0)
+    assert rep.factors == (q, p)
+    assert sorted(calls) == [q, p]
 
 
 class TestRunFullCoin:
