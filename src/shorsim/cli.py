@@ -294,6 +294,8 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise DomainError(f"--seed must be nonnegative, got {args.seed}")
         return args.handler(args)
     except RefusedTooLargeError as exc:
         _emit_error(exc)

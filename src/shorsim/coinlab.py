@@ -34,6 +34,13 @@ CHI2_1DOF_P999 = 10.8276
 _Z_P999 = 3.090232
 
 
+def _check_counts(tosses: int, heads: int) -> None:
+    if tosses < 1:
+        raise DomainError("a coin run needs at least one toss")
+    if not 0 <= heads <= tosses:
+        raise DomainError("heads count out of range")
+
+
 @dataclass(frozen=True)
 class CoinRun:
     """Toss statistics for one series, with the plug-in binomial error.
@@ -49,10 +56,7 @@ class CoinRun:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.tosses < 1:
-            raise DomainError("a coin run needs at least one toss")
-        if not 0 <= self.heads <= self.tosses:
-            raise DomainError("heads count out of range")
+        _check_counts(self.tosses, self.heads)
         if abs(self.p_hat - self.heads / self.tosses) > 1e-12:
             raise DomainError("p_hat must equal heads/tosses")
         expected_sigma = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.tosses)
@@ -61,10 +65,7 @@ class CoinRun:
 
     @classmethod
     def from_counts(cls, label: str, tosses: int, heads: int) -> "CoinRun":
-        if tosses < 1:
-            raise DomainError("a coin run needs at least one toss")
-        if not 0 <= heads <= tosses:
-            raise DomainError("heads count out of range")
+        _check_counts(tosses, heads)  # before the division below
         p_hat = heads / tosses
         sigma = math.sqrt(p_hat * (1.0 - p_hat) / tosses)
         return cls(label=label, tosses=tosses, heads=heads,

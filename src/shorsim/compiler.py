@@ -1,4 +1,4 @@
-"""Circuits for period finding, as a small gate-level IR.
+"""Circuits for period finding.
 
 Two shapes come out of this module. The staged circuit drives one
 recycled control qubit through s rounds of prepare / controlled modular
@@ -15,11 +15,12 @@ y accumulates least-significant-bit first. The stage-k feedback phase is
 -2*pi*P/2**k where P is the integer already accumulated in y. The
 simulator's oracle tests are what hold this convention to account.
 
-Every multiplier is therefore a power of the last one, a, and a Circuit
-accepts only that canonical schedule. Its work register is indexed by
-exponent: the orbit 1, a, ..., a**(r-1) of residue 1 is walked once per
-circuit, column j holds a**j, and the stage-k controlled multiply is a
-cyclic shift of the columns by 2**(s-k) mod r.
+Every multiplier is therefore a power of the last one, the base a, and
+a circuit is the triple (modulus n, base a, stage count s): its gate
+lines are derived from the triple, never stored. The work register is
+indexed by exponent: the orbit 1, a, ..., a**(r-1) of residue 1 is
+walked once per circuit, column j holds a**j, and the stage-k
+controlled multiply is a cyclic shift of the columns by 2**(s-k) mod r.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional
 
 from .errors import (
     CircuitFormatError,
@@ -43,51 +44,6 @@ from .numtheory import Semiprime, _crt_sqrt1_roots, parse_decimal, to_decimal
 MAX_WORK_SPAN = 1 << 20
 
 CIRCUIT_JSON_FORMAT = "shorsim-circuit"
-
-
-@dataclass(frozen=True)
-class PreparePlus:
-    """Reset the control qubit to (|0> + |1>)/sqrt(2)."""
-
-
-@dataclass(frozen=True)
-class Hadamard:
-    """Plain Hadamard on the control qubit (first readout stage)."""
-
-
-@dataclass(frozen=True)
-class ControlledModMul:
-    """Controlled w -> multiplier * w mod modulus on the work register.
-
-    A permutation of residues, hence unitary, iff gcd(multiplier,
-    modulus) = 1; the circuit validator enforces that.
-    """
-
-    multiplier: int
-    modulus: int
-
-
-@dataclass(frozen=True)
-class PhaseThenHadamard:
-    """Feedback phase, then Hadamard, at readout stage k >= 2.
-
-    The phase is -2*pi*P/2**stage on the |1> control component, where P
-    is the integer formed by the previously measured bits. Stage 1 has
-    no feedback and uses the plain Hadamard gate instead.
-    """
-
-    stage: int
-
-
-@dataclass(frozen=True)
-class MeasureQubit:
-    """Measure the control qubit into classical bit `bit` of y."""
-
-    bit: int
-
-
-Gate = Union[PreparePlus, Hadamard, ControlledModMul, PhaseThenHadamard,
-             MeasureQubit]
 
 
 def work_orbit(modulus: int, multiplier: int) -> list[int]:
@@ -111,98 +67,78 @@ def work_orbit(modulus: int, multiplier: int) -> list[int]:
     return values
 
 
+# Gate kinds and the JSON names of their arguments, which are decimal
+# strings for CMODMUL and integers for the others.
+_GATE_ARGS = {
+    "PREP+": (),
+    "CMODMUL": ("multiplier", "modulus"),
+    "H": (),
+    "VH": ("stage",),
+    "MEAS": ("bit",),
+}
+
+
+def _stage_multipliers(modulus: int, base: int, s: int) -> tuple[int, ...]:
+    """a**(2**(s-k)) mod modulus for stages k = 1..s, by s-1 squarings."""
+    multipliers = [base]
+    for _ in range(s - 1):
+        multipliers.append(multipliers[-1] ** 2 % modulus)
+    return tuple(reversed(multipliers))
+
+
+def _gate_lines(modulus: int, base: int, s: int) -> Iterator[tuple]:
+    """The canonical layout as (kind, *args), four gates per stage.
+
+    Stage k is PREP+; CMODMUL with its multiplier and the modulus, as
+    decimal strings; H at stage 1 and VH k after it; MEAS k-1.
+    """
+    n = to_decimal(modulus)
+    for k, multiplier in enumerate(_stage_multipliers(modulus, base, s), 1):
+        yield ("PREP+",)
+        yield ("CMODMUL", to_decimal(multiplier), n)
+        yield ("H",) if k == 1 else ("VH", k)
+        yield ("MEAS", k - 1)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A staged readout circuit over one control qubit + work register.
 
-    gates must follow the canonical stage layout (see _validate), in
-    which the stage-k multiplier is the square of the stage-(k+1) one,
-    so every multiplier is a power of the last, a. num_readout_bits is
-    the stage count s. The orbit of residue 1 under a is walked once,
-    here; work_register_span is its length r, the order of a, which is
-    what the simulator allocates.
+    A circuit is its modulus n, its base a and its stage count s =
+    num_readout_bits: stage k multiplies by a**(2**(s-k)) mod n, so a
+    is the last-stage multiplier and each earlier one is the square of
+    the next. The orbit of residue 1 under a is walked once, here;
+    work_register_span is its length r, the order of a, which is what
+    the simulator allocates.
     """
 
-    gates: tuple[Gate, ...]
+    modulus: int
+    base: int
     num_readout_bits: int
     _orbit: tuple[int, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-        self._validate()
-        orbit = work_orbit(self.modulus, self.multipliers[-1])
-        object.__setattr__(self, "_orbit", tuple(orbit))
-
-    def _validate(self) -> None:
-        s = self.num_readout_bits
-        if s < 1:
+        if self.num_readout_bits < 1:
             raise CircuitFormatError("a circuit needs at least one stage")
-        if len(self.gates) != 4 * s:
+        if self.modulus < 2:
+            raise CircuitFormatError("modulus must be >= 2")
+        if not 1 <= self.base < self.modulus:
+            raise CircuitFormatError("base must lie in [1, modulus)")
+        if math.gcd(self.base, self.modulus) != 1:
             raise CircuitFormatError(
-                f"expected {4 * s} gates for {s} stages, got {len(self.gates)}"
+                f"base {self.base} shares a factor with the modulus "
+                f"(not a permutation)"
             )
-        modulus: Optional[int] = None
-        for k in range(1, s + 1):
-            prep, mul, mix, meas = self.gates[4 * (k - 1):4 * k]
-            if not isinstance(prep, PreparePlus):
-                raise CircuitFormatError(f"stage {k}: expected PREP+")
-            if not isinstance(mul, ControlledModMul):
-                raise CircuitFormatError(f"stage {k}: expected CMODMUL")
-            if mul.modulus < 2:
-                raise CircuitFormatError(f"stage {k}: modulus must be >= 2")
-            if modulus is None:
-                modulus = mul.modulus
-            elif mul.modulus != modulus:
-                raise CircuitFormatError(
-                    "all CMODMUL gates must share one modulus"
-                )
-            if not 1 <= mul.multiplier < mul.modulus:
-                raise CircuitFormatError(
-                    f"stage {k}: multiplier must lie in [1, modulus)"
-                )
-            if math.gcd(mul.multiplier, mul.modulus) != 1:
-                raise CircuitFormatError(
-                    f"stage {k}: multiplier {mul.multiplier} shares a factor "
-                    f"with the modulus (not a permutation)"
-                )
-            if k == 1:
-                if not isinstance(mix, Hadamard):
-                    raise CircuitFormatError(
-                        "stage 1 has no feedback and must use H"
-                    )
-            else:
-                if not isinstance(mix, PhaseThenHadamard):
-                    raise CircuitFormatError(f"stage {k}: expected VH")
-                if mix.stage != k:
-                    raise CircuitFormatError(
-                        f"stage {k}: VH is tagged with stage {mix.stage}"
-                    )
-            if not isinstance(meas, MeasureQubit):
-                raise CircuitFormatError(f"stage {k}: expected MEAS")
-            if meas.bit != k - 1:
-                raise CircuitFormatError(
-                    f"stage {k}: must measure into classical bit {k - 1}"
-                )
-        assert modulus is not None
-        multipliers = self.multipliers
-        for k in range(1, s):
-            if multipliers[k - 1] != multipliers[k] ** 2 % modulus:
-                raise CircuitFormatError(
-                    f"stage {k}: multiplier is not the square of the "
-                    f"stage-{k + 1} multiplier mod the modulus"
-                )
-
-    @property
-    def modulus(self) -> int:
-        gate = self.gates[1]
-        assert isinstance(gate, ControlledModMul)
-        return gate.modulus
+        orbit = work_orbit(self.modulus, self.base)
+        object.__setattr__(self, "_orbit", tuple(orbit))
 
     @property
     def multipliers(self) -> tuple[int, ...]:
-        return tuple(g.multiplier for g in self.gates[1::4])
+        """Per stage, first to last, the multiplier a**(2**(s-k)) mod n."""
+        return _stage_multipliers(self.modulus, self.base,
+                                  self.num_readout_bits)
 
     @property
     def work_register_span(self) -> int:
@@ -224,46 +160,30 @@ class Circuit:
         return self._orbit
 
     def to_text(self) -> str:
-        lines = []
-        for g in self.gates:
-            if isinstance(g, PreparePlus):
-                lines.append("PREP+")
-            elif isinstance(g, ControlledModMul):
-                lines.append(
-                    f"CMODMUL {to_decimal(g.multiplier)} {to_decimal(g.modulus)}"
-                )
-            elif isinstance(g, Hadamard):
-                lines.append("H")
-            elif isinstance(g, PhaseThenHadamard):
-                lines.append(f"VH {g.stage}")
-            elif isinstance(g, MeasureQubit):
-                lines.append(f"MEAS {g.bit}")
-            else:  # pragma: no cover - the union is closed
-                raise CircuitFormatError(f"unknown gate {g!r}")
-        return "\n".join(lines) + "\n"
+        lines = _gate_lines(self.modulus, self.base, self.num_readout_bits)
+        return "".join(" ".join(map(str, line)) + "\n" for line in lines)
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        """Parse the line format. The work span is recomputed, not read."""
-        gates: list[Gate] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                gates.append(_gate_from_tokens(parts))
-            except (DomainError, ValueError) as exc:
-                raise CircuitFormatError(f"line {lineno}: {exc}") from exc
-        return _assemble(gates, declared_span=None)
+        """Parse the line format, skipping blank lines.
+
+        The work span is recomputed, not read.
+        """
+        return _from_gates([
+            (f"line {lineno}", tuple(raw.split()))
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if raw.strip()
+        ])
 
     def to_json_dict(self) -> dict:
+        lines = _gate_lines(self.modulus, self.base, self.num_readout_bits)
         return {
             "format": CIRCUIT_JSON_FORMAT,
             "version": 1,
             "num_readout_bits": self.num_readout_bits,
             "work_register_span": self.work_register_span,
-            "gates": [_gate_to_json(g) for g in self.gates],
+            "gates": [{"gate": kind, **dict(zip(_GATE_ARGS[kind], args))}
+                      for kind, *args in lines],
         }
 
     def to_json(self) -> str:
@@ -273,80 +193,96 @@ class Circuit:
     def from_json_dict(cls, data: dict) -> "Circuit":
         if data.get("format") != CIRCUIT_JSON_FORMAT:
             raise CircuitFormatError("not a circuit document")
-        try:
-            gates = [_gate_from_json(g) for g in data["gates"]]
-        except (KeyError, TypeError, DomainError) as exc:
-            raise CircuitFormatError(f"bad gate entry: {exc}") from exc
-        return _assemble(gates, declared_span=data.get("work_register_span"))
+        entries = data.get("gates")
+        if not isinstance(entries, list):
+            raise CircuitFormatError("gates must be a list of gate entries")
+        circuit = _from_gates([
+            (f"gates[{i}]", _json_tokens(f"gates[{i}]", entry))
+            for i, entry in enumerate(entries)
+        ])
+        declared = data.get("work_register_span")
+        span = circuit.work_register_span
+        if declared is not None and declared != span:
+            raise CircuitFormatError(
+                f"declared work span {declared} does not match the "
+                f"reachable span {span}"
+            )
+        return circuit
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CircuitFormatError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise CircuitFormatError("not a circuit document")
         return cls.from_json_dict(data)
 
 
-def _gate_from_tokens(parts: list[str]) -> Gate:
-    head = parts[0]
-    if head == "PREP+" and len(parts) == 1:
-        return PreparePlus()
-    if head == "H" and len(parts) == 1:
-        return Hadamard()
-    if head == "CMODMUL" and len(parts) == 3:
-        return ControlledModMul(parse_decimal(parts[1]), parse_decimal(parts[2]))
-    if head == "VH" and len(parts) == 2:
-        return PhaseThenHadamard(int(parts[1]))
-    if head == "MEAS" and len(parts) == 2:
-        return MeasureQubit(int(parts[1]))
-    raise ValueError(f"unrecognized gate line {' '.join(parts)!r}")
+def _json_tokens(label: str, entry) -> tuple[str, ...]:
+    """A JSON gate entry as the tokens of its text line.
 
-
-def _gate_to_json(g: Gate) -> dict:
-    if isinstance(g, PreparePlus):
-        return {"gate": "PREP+"}
-    if isinstance(g, Hadamard):
-        return {"gate": "H"}
-    if isinstance(g, ControlledModMul):
-        return {"gate": "CMODMUL", "multiplier": to_decimal(g.multiplier),
-                "modulus": to_decimal(g.modulus)}
-    if isinstance(g, PhaseThenHadamard):
-        return {"gate": "VH", "stage": g.stage}
-    if isinstance(g, MeasureQubit):
-        return {"gate": "MEAS", "bit": g.bit}
-    raise CircuitFormatError(f"unknown gate {g!r}")  # pragma: no cover
-
-
-def _gate_from_json(entry: dict) -> Gate:
-    kind = entry["gate"]
-    if kind == "PREP+":
-        return PreparePlus()
-    if kind == "H":
-        return Hadamard()
-    if kind == "CMODMUL":
-        return ControlledModMul(
-            parse_decimal(entry["multiplier"]), parse_decimal(entry["modulus"])
-        )
-    if kind == "VH":
-        return PhaseThenHadamard(int(entry["stage"]))
-    if kind == "MEAS":
-        return MeasureQubit(int(entry["bit"]))
-    raise CircuitFormatError(f"unknown gate kind {kind!r}")
-
-
-def _assemble(gates: list[Gate], declared_span: Optional[int]) -> Circuit:
-    s = sum(1 for g in gates if isinstance(g, MeasureQubit))
-    circuit = Circuit(tuple(gates), s)
-    span = circuit.work_register_span
-    if declared_span is not None and declared_span != span:
+    Arguments must have the JSON types to_json_dict writes; other
+    fields are ignored.
+    """
+    kind = entry.get("gate") if isinstance(entry, dict) else None
+    if not isinstance(kind, str):
+        raise CircuitFormatError(f"{label}: not a gate entry")
+    args = [entry.get(name) for name in _GATE_ARGS.get(kind, ())]
+    wanted = str if kind == "CMODMUL" else int
+    if any(type(arg) is not wanted for arg in args):
         raise CircuitFormatError(
-            f"declared work span {declared_span} does not match the "
-            f"reachable span {span}"
+            f"{label}: {kind} arguments must be JSON "
+            f"{'strings' if wanted is str else 'integers'}"
         )
-    return circuit
+    return (kind, *map(str, args))
+
+
+def _from_gates(gates: list[tuple[str, tuple[str, ...]]]) -> Circuit:
+    """The circuit whose canonical layout gates is, or CircuitFormatError.
+
+    gates holds (label, tokens) per gate, in input order. The last
+    CMODMUL gives the modulus and the base, and its position gives the
+    stage count. Every gate must then equal that circuit's own line;
+    the layout is checked before the orbit is walked.
+    """
+    for label, (kind, *args) in gates:
+        if kind not in _GATE_ARGS or len(args) != len(_GATE_ARGS[kind]):
+            raise CircuitFormatError(
+                f"{label}: unrecognized gate {' '.join((kind, *args))!r}"
+            )
+    cmodmuls = [i for i, (_, tokens) in enumerate(gates)
+                if tokens[0] == "CMODMUL"]
+    if not cmodmuls:
+        raise CircuitFormatError("a circuit needs at least one stage")
+    where, (_, multiplier, modulus) = gates[cmodmuls[-1]]
+    s = cmodmuls[-1] // 4 + 1
+    try:
+        n, a = parse_decimal(modulus), parse_decimal(multiplier)
+    except DomainError as exc:
+        raise CircuitFormatError(f"{where}: {exc}") from exc
+    if n < 2:  # checked here too: the layout squares mod n
+        raise CircuitFormatError(f"{where}: modulus must be >= 2")
+    want = [tuple(map(str, line)) for line in _gate_lines(n, a, s)]
+    for (label, tokens), line in zip(gates, want):
+        if tokens != line:
+            message = (f"{label}: expected {' '.join(line)!r}, "
+                       f"got {' '.join(tokens)!r}")
+            if tokens[0] == line[0] == "CMODMUL":
+                message += (" (each multiplier is the square of the next "
+                            "stage's mod one shared modulus, in plain "
+                            "decimal)")
+            raise CircuitFormatError(message)
+    if len(gates) != len(want):
+        raise CircuitFormatError(
+            f"{gates[-1][0]}: {s} stages take {len(want)} gates, "
+            f"got {len(gates)}"
+        )
+    try:
+        return Circuit(n, a, s)
+    except CircuitFormatError as exc:
+        raise CircuitFormatError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -404,13 +340,7 @@ def build_compiled_circuit(base: CompiledBase) -> Circuit:
         raise NotCompilableError(
             f"period {base.period} base does not fit the two-qubit circuit"
         )
-    gates = (
-        PreparePlus(),
-        ControlledModMul(base.a, base.n),
-        Hadamard(),
-        MeasureQubit(0),
-    )
-    return Circuit(gates, 1)
+    return Circuit(base.n, base.a, 1)
 
 
 def default_s(n: int) -> int:
@@ -439,13 +369,7 @@ def build_semiclassical_stages(a: int, n: int, s: Optional[int] = None) -> Circu
         s = default_s(n)
     if s < 1:
         raise DomainError("need at least one readout stage")
-    gates: list[Gate] = []
-    for k in range(1, s + 1):
-        gates.append(PreparePlus())
-        gates.append(ControlledModMul(pow(a, 1 << (s - k), n), n))
-        gates.append(Hadamard() if k == 1 else PhaseThenHadamard(k))
-        gates.append(MeasureQubit(k - 1))
-    return Circuit(tuple(gates), s)
+    return Circuit(n, a, s)
 
 
 @dataclass(frozen=True)

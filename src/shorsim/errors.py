@@ -42,7 +42,7 @@ class NotCompilableError(DomainError):
 
 
 class CircuitFormatError(ShorsimError, ValueError):
-    """Circuit IR is structurally invalid or failed to parse."""
+    """A circuit is out of range, or a circuit document is malformed."""
 
 
 class SimulationError(ShorsimError):

@@ -366,7 +366,6 @@ def run_full_algorithm(
             s_eff = 1
         else:
             a = master.randrange(2, n - 1)
-            last_base = a
             shortcut = math.gcd(a, n)
             if shortcut > 1:
                 factors = _normalized_factors(shortcut, n)

@@ -3,9 +3,55 @@
 import json
 import shutil
 
+import pytest
+
+from shorsim import cli
 from shorsim.cli import main
 from shorsim.compiler import Circuit
 from shorsim.fixtures import fixture_root
+
+# `circuit --kind semiclassical --a 2 --n 33 --s 2 --format json`
+GOLDEN_CIRCUIT_JSON = """\
+{
+  "format": "shorsim-circuit",
+  "gates": [
+    {
+      "gate": "PREP+"
+    },
+    {
+      "gate": "CMODMUL",
+      "modulus": "33",
+      "multiplier": "4"
+    },
+    {
+      "gate": "H"
+    },
+    {
+      "bit": 0,
+      "gate": "MEAS"
+    },
+    {
+      "gate": "PREP+"
+    },
+    {
+      "gate": "CMODMUL",
+      "modulus": "33",
+      "multiplier": "2"
+    },
+    {
+      "gate": "VH",
+      "stage": 2
+    },
+    {
+      "bit": 1,
+      "gate": "MEAS"
+    }
+  ],
+  "num_readout_bits": 2,
+  "version": 1,
+  "work_register_span": 10
+}
+"""
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +121,14 @@ class TestCircuit:
         circuit = Circuit.from_json(out)
         assert circuit.num_readout_bits == 1
         assert circuit.work_register_span == 2
+
+    def test_json_output_is_pinned(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "circuit", "--kind", "semiclassical",
+            "--a", "2", "--n", "33", "--s", "2", "--format", "json",
+        )
+        assert code == 0
+        assert out == GOLDEN_CIRCUIT_JSON
 
     def test_compiled_without_factors_rejected(self, capsys):
         code, _, err = run_cli(capsys, "circuit", "--kind", "compiled",
@@ -258,6 +312,25 @@ class TestVerifySupplementary:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv, work", [
+        (["simulate", "--kind", "semiclassical", "--a", "2", "--n", "15",
+          "--s", "4"], "run_circuit"),
+        (["factor", "--n", "15"], "run_full_algorithm"),
+        (["coin-demo", "--p", "3", "--q", "5"], "coin_factor_demo"),
+    ], ids=["simulate", "factor", "coin-demo"])
+    def test_negative_seed_refused_before_work(self, capsys, monkeypatch,
+                                               argv, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran with a negative seed")
+
+        monkeypatch.setattr(cli, work, no_work)
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "--seed" in error["message"]
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "qubits", "--modulus", "15")
         assert code == 2

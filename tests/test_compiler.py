@@ -10,11 +10,6 @@ from shorsim.compiler import (
     MAX_WORK_SPAN,
     Circuit,
     CompiledBase,
-    ControlledModMul,
-    Hadamard,
-    MeasureQubit,
-    PhaseThenHadamard,
-    PreparePlus,
     build_compiled_circuit,
     build_semiclassical_stages,
     default_s,
@@ -145,8 +140,9 @@ class TestCompiledCircuit:
         )
         assert circuit.num_readout_bits == 1
         assert circuit.work_register_span == 2
-        kinds = [type(g) for g in circuit.gates]
-        assert kinds == [PreparePlus, ControlledModMul, Hadamard, MeasureQubit]
+        kinds = [line.split()[0] for line in circuit.to_text().splitlines()]
+        assert kinds == ["PREP+", "CMODMUL", "H", "MEAS"]
+        assert (circuit.modulus, circuit.base) == (15, 4)
         assert circuit.multipliers == (4,)
         assert circuit.orbit_values() == (1, 4)
 
@@ -165,7 +161,7 @@ class TestSemiclassicalCircuit:
     def test_stage_count_defaults_to_resolution(self):
         circuit = build_semiclassical_stages(7, 15)
         assert circuit.num_readout_bits == 8
-        assert len(circuit.gates) == 32
+        assert len(circuit.to_text().splitlines()) == 32
 
     def test_multiplier_schedule_is_descending_squares(self):
         s = 8
@@ -209,73 +205,128 @@ class TestSemiclassicalCircuit:
 
     def test_stage_gate_pattern(self):
         circuit = build_semiclassical_stages(2, 33, 5)
-        for k in range(1, 6):
-            prep, mul, mix, meas = circuit.gates[4 * (k - 1):4 * k]
-            assert isinstance(prep, PreparePlus)
-            assert isinstance(mul, ControlledModMul)
-            if k == 1:
-                assert isinstance(mix, Hadamard)
-            else:
-                assert isinstance(mix, PhaseThenHadamard)
-                assert mix.stage == k
-            assert isinstance(meas, MeasureQubit)
-            assert meas.bit == k - 1
+        lines = circuit.to_text().splitlines()
+        for k, multiplier in enumerate(circuit.multipliers, start=1):
+            prep, mul, mix, meas = lines[4 * (k - 1):4 * k]
+            assert prep == "PREP+"
+            assert mul == f"CMODMUL {multiplier} 33"
+            assert mix == ("H" if k == 1 else f"VH {k}")
+            assert meas == f"MEAS {k - 1}"
+
+
+# Every line of this circuit, and every JSON entry, is mutated below
+CANONICAL = build_semiclassical_stages(2, 33, 3)
+
+
+def _variants(i):
+    """Each gate kind as it could appear at line i of CANONICAL."""
+    k = i // 4 + 1
+    return {
+        "PREP+": "PREP+",
+        "CMODMUL": f"CMODMUL {CANONICAL.multipliers[k - 1]} 33",
+        "H": "H",
+        "VH": f"VH {k}",
+        "MEAS": f"MEAS {k - 1}",
+    }
+
+
+def _as_entry(line):
+    kind, *args = line.split()
+    if kind == "CMODMUL":
+        return {"gate": kind, "multiplier": args[0], "modulus": args[1]}
+    fields = {"VH": "stage", "MEAS": "bit"}
+    return {"gate": kind, **{fields[kind]: int(a) for a in args}}
+
+
+def _refused(parse, document):
+    try:
+        parse(document)
+    except CircuitFormatError:
+        return True
+    return False
+
+
+def _mutations(items, i, variants):
+    """Line i deleted, duplicated, swapped with its neighbour, and
+    replaced by each other gate kind."""
+    yield "delete", items[:i] + items[i + 1:]
+    yield "duplicate", items[:i + 1] + items[i:]
+    if i + 1 < len(items):
+        swapped = list(items)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        yield "swap", swapped
+    for kind, other in variants.items():
+        if other != items[i]:
+            yield f"replace with {kind}", items[:i] + [other] + items[i + 1:]
 
 
 class TestCircuitValidation:
-    def _gates(self, s=2, a=7, n=15):
-        gates = []
-        for k in range(1, s + 1):
-            gates.append(PreparePlus())
-            gates.append(ControlledModMul(mod_pow(a, 1 << (s - k), n), n))
-            gates.append(Hadamard() if k == 1 else PhaseThenHadamard(k))
-            gates.append(MeasureQubit(k - 1))
-        return gates
+    LINES = CANONICAL.to_text().splitlines()
 
     def test_valid_gates_accepted(self):
-        gates = self._gates()
-        Circuit(tuple(gates), 2)
-
-    def test_feedback_gate_at_stage_one_rejected(self):
-        gates = self._gates()
-        gates[2] = PhaseThenHadamard(1)
-        with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2)
-
-    def test_plain_hadamard_at_later_stage_rejected(self):
-        gates = self._gates()
-        gates[6] = Hadamard()
-        with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2)
-
-    def test_misnumbered_feedback_stage_rejected(self):
-        gates = self._gates(s=3)
-        gates[10] = PhaseThenHadamard(2)  # stage 3 slot
-        with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 3)
-
-    def test_measurement_bit_order_enforced(self):
-        gates = self._gates()
-        gates[3], gates[7] = gates[7], gates[3]
-        with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2)
-
-    def test_mixed_moduli_rejected(self):
-        gates = self._gates()
-        gates[5] = ControlledModMul(2, 21)
-        with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2)
+        circuit = Circuit(15, 7, 2)
+        assert circuit.multipliers == (4, 7)
+        assert circuit.to_text() == (
+            "PREP+\nCMODMUL 4 15\nH\nMEAS 0\n"
+            "PREP+\nCMODMUL 7 15\nVH 2\nMEAS 1\n"
+        )
 
     def test_non_unit_multiplier_rejected(self):
-        gates = self._gates()
-        gates[1] = ControlledModMul(6, 15)
-        with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2)
+        with pytest.raises(CircuitFormatError, match="shares a factor"):
+            Circuit(15, 6, 2)
+        with pytest.raises(CircuitFormatError, match="shares a factor"):
+            Circuit.from_text("PREP+\nCMODMUL 6 15\nH\nMEAS 0\n")
 
-    def test_wrong_gate_count_rejected(self):
-        gates = self._gates()[:-1]
-        with pytest.raises(CircuitFormatError):
-            Circuit(tuple(gates), 2)
+    def test_out_of_range_fields_rejected(self):
+        for modulus, base, s in ((1, 1, 2), (15, 0, 2), (15, 22, 2),
+                                 (15, 7, 0)):
+            with pytest.raises(CircuitFormatError):
+                Circuit(modulus, base, s)
+
+    def test_misnumbered_feedback_stage_rejected(self):
+        lines = build_semiclassical_stages(7, 15, 3).to_text().splitlines()
+        lines[10] = "VH 2"  # stage 3 slot
+        with pytest.raises(CircuitFormatError, match="line 11"):
+            Circuit.from_text("\n".join(lines))
+
+    def test_measurement_bit_order_enforced(self):
+        lines = build_semiclassical_stages(7, 15, 2).to_text().splitlines()
+        lines[3], lines[7] = lines[7], lines[3]
+        with pytest.raises(CircuitFormatError, match="line 4"):
+            Circuit.from_text("\n".join(lines))
+
+    def test_mixed_moduli_rejected(self):
+        lines = build_semiclassical_stages(7, 15, 2).to_text().splitlines()
+        lines[1] = "CMODMUL 4 21"
+        with pytest.raises(CircuitFormatError, match="line 2"):
+            Circuit.from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("i", range(len(LINES)))
+    def test_text_accepts_only_the_canonical_layout(self, i):
+        accepted = [
+            name for name, lines in _mutations(self.LINES, i, _variants(i))
+            if not _refused(Circuit.from_text, "\n".join(lines) + "\n")
+        ]
+        assert accepted == []
+
+    @pytest.mark.parametrize("i", range(len(LINES)))
+    def test_json_accepts_only_the_canonical_layout(self, i):
+        payload = CANONICAL.to_json_dict()
+        del payload["work_register_span"]  # the layout alone must refuse
+        variants = {kind: _as_entry(line)
+                    for kind, line in _variants(i).items()}
+        accepted = [
+            name for name, gates in _mutations(payload["gates"], i, variants)
+            if not _refused(Circuit.from_json,
+                            json.dumps(dict(payload, gates=gates)))
+        ]
+        assert accepted == []
+
+    def test_unmutated_layouts_are_accepted(self):
+        payload = CANONICAL.to_json_dict()
+        del payload["work_register_span"]
+        assert Circuit.from_text("\n".join(self.LINES) + "\n") == CANONICAL
+        assert Circuit.from_json(json.dumps(payload)) == CANONICAL
 
 
 class TestSerialization:
@@ -342,6 +393,34 @@ class TestSerialization:
         gates[1], gates[5] = gates[5], gates[1]  # swap stages 1 and 2
         with pytest.raises(CircuitFormatError, match="square"):
             Circuit.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("document", [
+        '{"format": "shorsim-circuit", "gates": 5}',
+        '{"format": "shorsim-circuit", "gates": '
+        '[{"gate": "VH", "stage": "x"}]}',
+        '{"format": "shorsim-circuit", "gates": [{"gate": "CMODMUL", '
+        '"multiplier": 4, "modulus": "15"}]}',
+        '{"format": "shorsim-circuit", "span": ' + "1" * 5000 + "}",
+        "[" * 100000,
+    ], ids=["gates-not-a-list", "stage-not-a-number", "multiplier-a-number",
+            "oversized-number", "deep-nesting"])
+    def test_json_malformed_document_rejected(self, document):
+        with pytest.raises(CircuitFormatError):
+            Circuit.from_json(document)
+
+    def test_only_plain_forms_are_read(self):
+        # int() and parse_decimal would read each of these; the format
+        # has one spelling per value
+        text = build_semiclassical_stages(7, 15, 2).to_text()
+        for old, new in (("VH 2", "VH +2"), ("MEAS 1", "MEAS 01"),
+                         ("CMODMUL 7 15", "CMODMUL 07 15")):
+            with pytest.raises(CircuitFormatError):
+                Circuit.from_text(text.replace(old, new))
+        payload = build_semiclassical_stages(7, 15, 2).to_json_dict()
+        for value in ("2", 2.0, True):
+            payload["gates"][6]["stage"] = value
+            with pytest.raises(CircuitFormatError, match="gates\\[6\\]"):
+                Circuit.from_json_dict(payload)
 
     def test_json_wrong_format_tag_rejected(self):
         with pytest.raises(CircuitFormatError):
