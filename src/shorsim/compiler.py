@@ -193,6 +193,10 @@ class Circuit:
     def from_json_dict(cls, data: dict) -> "Circuit":
         if data.get("format") != CIRCUIT_JSON_FORMAT:
             raise CircuitFormatError("not a circuit document")
+        version = data.get("version")
+        if version is not None and version != 1:
+            raise CircuitFormatError(
+                f"unsupported circuit format version {version}")
         entries = data.get("gates")
         if not isinstance(entries, list):
             raise CircuitFormatError("gates must be a list of gate entries")
@@ -200,13 +204,15 @@ class Circuit:
             (f"gates[{i}]", _json_tokens(f"gates[{i}]", entry))
             for i, entry in enumerate(entries)
         ])
-        declared = data.get("work_register_span")
-        span = circuit.work_register_span
-        if declared is not None and declared != span:
-            raise CircuitFormatError(
-                f"declared work span {declared} does not match the "
-                f"reachable span {span}"
-            )
+        for name, actual in (("num_readout_bits", circuit.num_readout_bits),
+                             ("work_register_span",
+                              circuit.work_register_span)):
+            declared = data.get(name)
+            if declared is not None and declared != actual:
+                raise CircuitFormatError(
+                    f"declared {name} {declared} does not match the "
+                    f"circuit's {actual}"
+                )
         return circuit
 
     @classmethod

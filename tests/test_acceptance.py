@@ -3,7 +3,7 @@
 Each test prints one ACCEPTANCE line (visible under pytest -s) and
 enforces its stated tolerance and, where given, its runtime budget.
 Timed sections cover exactly the mandated work; fixture loading and
-JIT warmup happen outside the stopwatch.
+warm-up calls happen outside the stopwatch.
 """
 
 import math
@@ -90,7 +90,7 @@ def test_criterion_3_supplementary_fixtures():
 
 
 def test_criterion_4_recycling_equivalence():
-    # JIT warmup outside the stopwatch
+    # one warm-up call outside the stopwatch
     output_distribution(build_semiclassical_stages(7, 15, 3))
     worst = 0.0
     combos = 0

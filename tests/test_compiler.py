@@ -381,6 +381,14 @@ class TestSerialization:
         with pytest.raises(CircuitFormatError):
             Circuit.from_json_dict(payload)
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_readout_bits", 7), ("version", 99)])
+    def test_json_declared_field_mismatch_rejected(self, field, value):
+        payload = build_semiclassical_stages(2, 33, 3).to_json_dict()
+        payload[field] = value
+        with pytest.raises(CircuitFormatError, match=f"{field} {value}"):
+            Circuit.from_json_dict(payload)
+
     def test_text_rejects_non_canonical_multipliers(self):
         lines = build_semiclassical_stages(2, 33, 4).to_text().splitlines()
         lines[1], lines[5] = lines[5], lines[1]  # swap stages 1 and 2

@@ -263,6 +263,11 @@ class TestGuards:
         with pytest.raises(RefusedTooLargeError):
             dft_oracle_distribution(7, 15, MAX_DIST_READOUT_BITS + 1)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_oracle_refuses_modulus_below_two(self, n):
+        with pytest.raises(DomainError, match="modulus must be at least 2"):
+            dft_oracle_distribution(3, n, 2)
+
     def test_sampling_is_not_guarded_by_modulus(self):
         n = 65539
         circuit = build_semiclassical_stages(n - 1, n, 2)
@@ -283,3 +288,62 @@ class TestOracleAgainstClosedForm:
             for y in range(big_s):
                 expected = 1.0 / r if y % step == 0 else 0.0
                 assert abs(oracle[y] - expected) < 1e-12
+
+    @pytest.mark.parametrize("a,n,s", [
+        (2, 33, 3),   # r = 10 > 2**s: every group is one exponent
+        (2, 33, 7),
+        (5, 21, 5),
+        (2, 7, 6),
+        (1, 15, 4),   # r = 1: one group holds every exponent
+        (14, 15, 1),  # s = 1: the mirrored half of the spectrum is empty
+    ])
+    def test_matches_textbook_amplitudes(self, a, n, s):
+        # A(y, j) = (1/S) sum over x = j mod r, x < S of
+        # exp(-2 pi i x y / S), summed as |A|**2 over the groups j
+        r = multiplicative_order(a, n)
+        big_s = 1 << s
+        y = np.arange(big_s)
+        expected = np.zeros(big_s)
+        for j in range(r):
+            x = np.arange(j, big_s, r)
+            turns = np.outer(y, x) % big_s / big_s
+            amp = np.exp(-2j * np.pi * turns).sum(axis=1) / big_s
+            expected += np.abs(amp) ** 2
+        oracle = dft_oracle_distribution(a, n, s)
+        assert np.abs(oracle.as_array() - expected).max() < 1e-12
+
+
+def _one_fft_per_group(a, n, s):
+    """The oracle as one dense FFT per exponent group, summed."""
+    big_s = 1 << s
+    r = multiplicative_order(a, n)
+    probs = np.zeros(big_s)
+    for first in range(min(r, big_s)):
+        indicator = np.zeros(big_s)
+        indicator[first::r] = 1.0
+        probs += np.abs(np.fft.fft(indicator)) ** 2
+    return probs / float(big_s) ** 2
+
+
+class TestOracleCost:
+    def test_transforms_each_distinct_group_size_once(self, monkeypatch):
+        calls = []
+
+        def counted(transform):
+            def wrapper(*args, **kwargs):
+                calls.append(transform.__name__)
+                return transform(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+        # 1008 exponent groups of two sizes: 2**14 = 16 * 1008 + 256
+        dft_oracle_distribution(5, 1009, 14)
+        assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("a,n,s", [(5, 1009, 14), (2, 65519, 8)])
+    def test_matches_one_fft_per_group(self, a, n, s):
+        want = _one_fft_per_group(a, n, s)
+        got = dft_oracle_distribution(a, n, s).as_array()
+        assert np.abs(got - want).max() < 1e-15
+        assert np.array_equal(got > 0, want > 0)
