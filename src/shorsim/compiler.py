@@ -18,9 +18,11 @@ simulator's oracle tests are what hold this convention to account.
 Every multiplier is therefore a power of the last one, the base a, and
 a circuit is the triple (modulus n, base a, stage count s): its gate
 lines are derived from the triple, never stored. The work register is
-indexed by exponent: the orbit 1, a, ..., a**(r-1) of residue 1 is
-walked once per circuit, column j holds a**j, and the stage-k
+indexed by exponent: column j stands for a**j, and the stage-k
 controlled multiply is a cyclic shift of the columns by 2**(s-k) mod r.
+So the only size a circuit keeps is r, the order of a, found once per
+circuit by walking 1, a, a**2, ... back to 1; the residues themselves
+are never stored.
 """
 
 from __future__ import annotations
@@ -39,32 +41,32 @@ from .errors import (
 )
 from .numtheory import Semiprime, _crt_sqrt1_roots, parse_decimal, to_decimal
 
-# The simulator allocates one complex amplitude per reachable work value,
-# so this caps both memory and the orbit walk.
+# The simulator allocates one complex amplitude per exponent column, r
+# of them, so this caps both its memory and the walk that finds r.
 MAX_WORK_SPAN = 1 << 20
 
 CIRCUIT_JSON_FORMAT = "shorsim-circuit"
 
 
-def work_orbit(modulus: int, multiplier: int) -> list[int]:
-    """The orbit of residue 1 under one multiplier a, a unit mod modulus.
+def work_orbit(modulus: int, multiplier: int) -> int:
+    """The order r of a multiplier a, a unit mod modulus.
 
-    Entry j holds a**j, so the list is 1, a, a**2, ..., a**(r-1) with r
-    the order of a: the exponent basis of the simulator. Refuses once
-    the walk would pass MAX_WORK_SPAN values.
+    Walks the orbit 1, a, a**2, ... of residue 1 back to 1 and returns
+    its length, the span of the simulator's exponent basis; the values
+    are not kept. Refuses once the walk would pass MAX_WORK_SPAN values.
     """
     if modulus < 2 or math.gcd(multiplier, modulus) != 1:
         raise DomainError(f"{multiplier} is not a unit mod {modulus}")
-    values = [1]
+    span = 1
     w = multiplier % modulus
     while w != 1:
-        if len(values) >= MAX_WORK_SPAN:
+        if span >= MAX_WORK_SPAN:
             raise RefusedTooLargeError(
                 f"work register span exceeds {MAX_WORK_SPAN}"
             )
-        values.append(w)
+        span += 1
         w = w * multiplier % modulus
-    return values
+    return span
 
 
 # Gate kinds and the JSON names of their arguments, which are decimal
@@ -107,17 +109,15 @@ class Circuit:
     A circuit is its modulus n, its base a and its stage count s =
     num_readout_bits: stage k multiplies by a**(2**(s-k)) mod n, so a
     is the last-stage multiplier and each earlier one is the square of
-    the next. The orbit of residue 1 under a is walked once, here;
-    work_register_span is its length r, the order of a, which is what
-    the simulator allocates.
+    the next. work_register_span is r, the order of a: the length of
+    the orbit of residue 1 under a, walked once, here, and the number of
+    columns the simulator allocates. The orbit's values are not kept.
     """
 
     modulus: int
     base: int
     num_readout_bits: int
-    _orbit: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    work_register_span: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_readout_bits < 1:
@@ -131,19 +131,14 @@ class Circuit:
                 f"base {self.base} shares a factor with the modulus "
                 f"(not a permutation)"
             )
-        orbit = work_orbit(self.modulus, self.base)
-        object.__setattr__(self, "_orbit", tuple(orbit))
+        object.__setattr__(self, "work_register_span",
+                           work_orbit(self.modulus, self.base))
 
     @property
     def multipliers(self) -> tuple[int, ...]:
         """Per stage, first to last, the multiplier a**(2**(s-k)) mod n."""
         return _stage_multipliers(self.modulus, self.base,
                                   self.num_readout_bits)
-
-    @property
-    def work_register_span(self) -> int:
-        """Distinct work values reachable from 1: the order of a."""
-        return len(self._orbit)
 
     @property
     def stage_shifts(self) -> tuple[int, ...]:
@@ -154,10 +149,6 @@ class Circuit:
         """
         s, r = self.num_readout_bits, self.work_register_span
         return tuple(pow(2, s - k, r) for k in range(1, s + 1))
-
-    def orbit_values(self) -> tuple[int, ...]:
-        """Work values by column: entry j is a**j, the simulator basis."""
-        return self._orbit
 
     def to_text(self) -> str:
         lines = _gate_lines(self.modulus, self.base, self.num_readout_bits)
@@ -193,10 +184,13 @@ class Circuit:
     def from_json_dict(cls, data: dict) -> "Circuit":
         if data.get("format") != CIRCUIT_JSON_FORMAT:
             raise CircuitFormatError("not a circuit document")
-        version = data.get("version")
-        if version is not None and version != 1:
+        for name in ("version", "num_readout_bits", "work_register_span"):
+            if name in data and type(data[name]) is not int:
+                raise CircuitFormatError(
+                    f"declared {name} {data[name]} is not a JSON integer")
+        if data.get("version", 1) != 1:
             raise CircuitFormatError(
-                f"unsupported circuit format version {version}")
+                f"unsupported circuit format version {data['version']}")
         entries = data.get("gates")
         if not isinstance(entries, list):
             raise CircuitFormatError("gates must be a list of gate entries")
@@ -207,8 +201,8 @@ class Circuit:
         for name, actual in (("num_readout_bits", circuit.num_readout_bits),
                              ("work_register_span",
                               circuit.work_register_span)):
-            declared = data.get(name)
-            if declared is not None and declared != actual:
+            declared = data.get(name, actual)
+            if declared != actual:
                 raise CircuitFormatError(
                     f"declared {name} {declared} does not match the "
                     f"circuit's {actual}"

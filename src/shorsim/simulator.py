@@ -1,10 +1,11 @@
 """Execution of the circuit IR: sampled trajectories and exact
 distributions.
 
-The state is one control qubit tensored with a work register whose
-basis is the circuit's orbit of residue 1, nothing more: column j holds
-a**j for the last-stage multiplier a. That orbit has size equal to the
-multiplicative order r of a, which is why the compiled circuit gets
+The state is one control qubit tensored with a work register indexed
+by exponent, nothing more: column j stands for a**j mod n, for the
+last-stage multiplier a, and the residues themselves are never needed.
+The register has r columns, r the multiplicative order of a
+(Circuit.work_register_span), which is why the compiled circuit gets
 away with two work values while an honest run pays for the full cycle.
 In this basis each controlled multiply is a cyclic shift of the columns
 (Circuit.stage_shifts). run_circuit samples one trajectory in it:
@@ -39,43 +40,18 @@ from .errors import DomainError, RefusedTooLargeError, SimulationError
 from .numtheory import multiplicative_order
 
 # Exact enumeration refuses beyond these. The readout cap keeps the
-# dense outcome vector a desk-scale object. The cell cap bounds the
-# 2**s * r cells of one call and is a time budget: the kernel holds one
-# chunk of columns at a time, so memory no longer binds. At the cap,
-# output_distribution took 0.12 s at 35 MiB peak RSS for (a, n, s) =
-# (2, 65519, 10), and 0.35-0.46 s at 77 MiB for s = 20, r = 32, its
-# slowest shape (2-CPU Intel Xeon, Python 3.11, numpy 2.4). The oracle
-# shares the guard and took 42-55 ms on the latter.
+# dense outcome vector a desk-scale object; it is the oracle's only
+# guard, since the oracle's cost is two 2**s-point FFTs whatever r is.
+# The cell cap bounds the 2**s * r cells of one branch enumeration and
+# is a time budget: the kernel holds one chunk of columns at a time, so
+# memory no longer binds. At the cap, output_distribution took 0.12 s
+# at 35 MiB peak RSS for (a, n, s) = (2, 65519, 10), and 0.35-0.46 s at
+# 77 MiB for s = 20, r = 32, its slowest shape (2-CPU Intel Xeon,
+# Python 3.11, numpy 2.4).
 MAX_DIST_READOUT_BITS = 20
 MAX_DIST_CELLS = 1 << 25
 
 NORM_TOLERANCE = 1e-12
-
-
-@dataclass
-class QuantumState:
-    """Control qubit tensor work register, plus measured classical bits.
-
-    amps has shape (2, W): row 0 is the control-|0> block, row 1 the
-    control-|1> block; column j holds work value a**j (work_values[j]).
-    """
-
-    amps: np.ndarray
-    classical_bits: list[int]
-    rng_seed: int
-    work_values: tuple[int, ...]
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Flat length-2W view: control-0 block then control-1 block."""
-        return self.amps.reshape(-1)
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def control_probabilities(self) -> tuple[float, float]:
-        p1 = float(np.vdot(self.amps[1], self.amps[1]).real)
-        return 1.0 - p1, p1
 
 
 @dataclass(frozen=True)
@@ -98,7 +74,6 @@ class RunTrace:
     bits: tuple[int, ...]
     stages: tuple[StageRecord, ...]
     work_register_span: int
-    final_state: QuantumState
 
 
 class OutcomeDistribution:
@@ -172,9 +147,7 @@ def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
     significance) and a stage-by-stage trace.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    values = circuit.orbit_values()
-    span = len(values)
-    work = np.zeros(span, dtype=np.complex128)
+    work = np.zeros(circuit.work_register_span, dtype=np.complex128)
     work[0] = 1.0  # residue 1 = a**0 sits in column 0
     bits: list[int] = []
     records: list[StageRecord] = []
@@ -208,31 +181,27 @@ def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
     y = 0
     for j, bit in enumerate(bits):
         y |= bit << j
-    amps = np.zeros((2, span), dtype=np.complex128)
-    amps[bits[-1]] = work
-    final = QuantumState(
-        amps=amps,
-        classical_bits=list(bits),
-        rng_seed=seed,
-        work_values=values,
-    )
     trace = RunTrace(
         seed=seed,
         y=y,
         bits=tuple(bits),
         stages=tuple(records),
-        work_register_span=span,
-        final_state=final,
+        work_register_span=circuit.work_register_span,
     )
     return y, trace
 
 
-def _check_enumeration_guards(s: int, cells: int) -> None:
+def _check_readout_bits(s: int) -> None:
     if s > MAX_DIST_READOUT_BITS:
         raise RefusedTooLargeError(
             f"exact enumeration refused: {s} readout bits exceeds "
             f"{MAX_DIST_READOUT_BITS}"
         )
+
+
+def _check_enumeration_guards(circuit: Circuit) -> None:
+    _check_readout_bits(circuit.num_readout_bits)
+    cells = (1 << circuit.num_readout_bits) * circuit.work_register_span
     if cells > MAX_DIST_CELLS:
         raise RefusedTooLargeError(
             f"exact enumeration refused: {cells} amplitude cells exceeds "
@@ -242,10 +211,9 @@ def _check_enumeration_guards(s: int, cells: int) -> None:
 
 def output_distribution(circuit: Circuit) -> OutcomeDistribution:
     """Exact outcome distribution by summing every measurement branch."""
-    s = circuit.num_readout_bits
-    span = circuit.work_register_span
-    _check_enumeration_guards(s, (1 << s) * span)
-    probs = _kernels.branch_probabilities(circuit.stage_shifts, span)
+    _check_enumeration_guards(circuit)
+    probs = _kernels.branch_probabilities(circuit.stage_shifts,
+                                          circuit.work_register_span)
     return OutcomeDistribution(probs)
 
 
@@ -266,9 +234,9 @@ def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
     a %= n
     if math.gcd(a, n) != 1:
         raise DomainError(f"{a} is not a unit mod {n}")
+    _check_readout_bits(s)
     big_s = 1 << s
     r = multiplicative_order(a, n)
-    _check_enumeration_guards(s, r * big_s)
     teeth, longer = divmod(big_s, r)
     probs = np.zeros(big_s, dtype=np.float64)
     for groups, size in ((longer, teeth + 1),
@@ -293,11 +261,9 @@ def control_reduced_density(circuit: Circuit) -> np.ndarray:
     weights w: rho00 = sum w(1 + cos theta_s)/2, rho11 =
     sum w(1 - cos theta_s)/2 and rho01 = (i/2) sum w sin theta_s.
     """
-    s = circuit.num_readout_bits
-    span = circuit.work_register_span
-    _check_enumeration_guards(s, (1 << s) * span)
+    _check_enumeration_guards(circuit)
     total, cos_sum, sin_sum = _kernels.last_stage_sums(
-        circuit.stage_shifts, span)
+        circuit.stage_shifts, circuit.work_register_span)
     rho = np.empty((2, 2), dtype=np.complex128)
     rho[0, 0] = 0.5 * float(np.sum(total + cos_sum))
     rho[1, 1] = 0.5 * float(np.sum(total - cos_sum))

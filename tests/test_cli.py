@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from shorsim import cli
 from shorsim.cli import main
 from shorsim.compiler import Circuit
 from shorsim.fixtures import fixture_root
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # `circuit --kind semiclassical --a 2 --n 33 --s 2 --format json`
 GOLDEN_CIRCUIT_JSON = """\
@@ -163,6 +166,14 @@ class TestSimulate:
             outs.add(json.loads(out)["y"])
         assert len(outs) > 1
 
+    def test_seeded_output_is_pinned(self, capsys):
+        # every byte, the p_one floats included
+        code, out, err = run_cli(capsys, "simulate", "--kind",
+                                 "semiclassical", "--a", "2", "--n", "337",
+                                 "--s", "12", "--seed", "0")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "simulate_a2_n337_s12_seed0.json").read_text()
+
 
 class TestDist:
     def test_compiled_is_unbiased(self, capsys):
@@ -188,6 +199,12 @@ class TestDist:
 
 
 class TestFactor:
+    def test_seeded_output_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "--n", "3127",
+                                 "--seed", "0")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "factor_n3127_seed0.json").read_text()
+
     def test_honest_fifteen(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "--n", "15",
                                "--mode", "honest", "--seed", "42")

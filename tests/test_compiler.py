@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -68,9 +69,10 @@ class TestDefaultS:
 
 class TestWorkOrbit:
     def test_single_generator(self):
-        assert work_orbit(15, 7) == [1, 7, 4, 13]
-        assert work_orbit(15, 4) == [1, 4]
-        assert work_orbit(21, 4) == [1, 4, 16]
+        # orbits 1, 7, 4, 13 and 1, 4 mod 15, and 1, 4, 16 mod 21
+        assert work_orbit(15, 7) == 4
+        assert work_orbit(15, 4) == 2
+        assert work_orbit(21, 4) == 3
 
     def test_non_unit_rejected(self):
         # 3 never returns to 1 mod 15; the walk must not run to the cap
@@ -87,7 +89,7 @@ class TestWorkOrbit:
     def test_span_boundary(self):
         # the order of 3 mod 2**k is 2**(k-2): an orbit of exactly
         # MAX_WORK_SPAN values is accepted, and a longer one refused
-        assert len(work_orbit(1 << 22, 3)) == MAX_WORK_SPAN
+        assert work_orbit(1 << 22, 3) == MAX_WORK_SPAN
         with pytest.raises(RefusedTooLargeError):
             work_orbit(1 << 23, 3)
 
@@ -144,7 +146,6 @@ class TestCompiledCircuit:
         assert kinds == ["PREP+", "CMODMUL", "H", "MEAS"]
         assert (circuit.modulus, circuit.base) == (15, 4)
         assert circuit.multipliers == (4,)
-        assert circuit.orbit_values() == (1, 4)
 
     def test_longer_period_rejected(self):
         with pytest.raises(NotCompilableError):
@@ -177,8 +178,19 @@ class TestSemiclassicalCircuit:
 
     def test_work_register_is_indexed_by_exponent(self):
         circuit = build_semiclassical_stages(7, 15, 8)
-        assert circuit.orbit_values() == (1, 7, 4, 13)
         assert circuit.stage_shifts == (0, 0, 0, 0, 0, 0, 2, 1)
+
+    def test_circuit_keeps_the_span_not_the_residues(self):
+        # the order of 3 mod 2**18 is 2**16: keeping those 65536
+        # residues would take about 3 MiB, keeping their count does not
+        tracemalloc.start()
+        try:
+            circuit = Circuit(1 << 18, 3, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert circuit.work_register_span == 1 << 16
+        assert peak < 64 * 1024
 
     def test_orbit_is_walked_once_per_circuit(self, monkeypatch):
         calls = []
@@ -382,7 +394,8 @@ class TestSerialization:
             Circuit.from_json_dict(payload)
 
     @pytest.mark.parametrize("field,value", [
-        ("num_readout_bits", 7), ("version", 99)])
+        ("num_readout_bits", 7), ("version", 99), ("version", True),
+        ("num_readout_bits", 3.0), ("work_register_span", 10.0)])
     def test_json_declared_field_mismatch_rejected(self, field, value):
         payload = build_semiclassical_stages(2, 33, 3).to_json_dict()
         payload[field] = value

@@ -1,9 +1,9 @@
-"""The README's console examples print what the CLI prints.
+"""The README's examples run and print what they show.
 
 Every `$ shorsim ...` line in a `console` block that shows output and
 has no `<...>` placeholder is run through cli.dispatch. JSON output is
 compared as parsed values, so the README may lay it out compactly; any
-other output must match exactly.
+other output must match exactly. Every `python` block is executed.
 """
 
 import json
@@ -38,7 +38,23 @@ def _console_examples():
     ]
 
 
+def _python_blocks():
+    """The source of each `python` block, in README order."""
+    blocks = []
+    current = None
+    for line in README.read_text().splitlines():
+        if current is not None and line.startswith("```"):
+            blocks.append("\n".join(current) + "\n")
+            current = None
+        elif current is not None:
+            current.append(line)
+        elif line.strip() == "```python":
+            current = []
+    return blocks
+
+
 EXAMPLES = _console_examples()
+PYTHON_BLOCKS = _python_blocks()
 
 
 def test_readme_has_checked_examples():
@@ -57,3 +73,14 @@ def test_readme_example_output(capsys, command, shown):
         assert out == shown
     else:
         assert json.loads(out) == expected
+
+
+def test_readme_has_python_examples():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS,
+                         ids=[f"block{i}" for i in
+                              range(1, len(PYTHON_BLOCKS) + 1)])
+def test_readme_python_example_runs(source):
+    exec(compile(source, str(README), "exec"), {})

@@ -220,7 +220,6 @@ class TestRunCircuit:
         assert len(trace.stages) == 5
         assert trace.work_register_span == 4
         assert y == sum(b << i for i, b in enumerate(trace.bits))
-        assert trace.final_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_first_stage_has_no_feedback(self):
         circuit = build_semiclassical_stages(7, 15, 4)
@@ -259,7 +258,7 @@ class TestGuards:
         oracle = dft_oracle_distribution(n - 1, n, 2)
         assert total_variation(dist, oracle) < 1e-9
 
-    def test_oracle_has_matching_guards(self):
+    def test_oracle_refuses_readout_bits_past_the_cap(self):
         with pytest.raises(RefusedTooLargeError):
             dft_oracle_distribution(7, 15, MAX_DIST_READOUT_BITS + 1)
 
@@ -341,7 +340,10 @@ class TestOracleCost:
         dft_oracle_distribution(5, 1009, 14)
         assert 1 <= len(calls) <= 2
 
-    @pytest.mark.parametrize("a,n,s", [(5, 1009, 14), (2, 65519, 8)])
+    # (2, 65519, 11) has 2**11 * r = 67090432 cells, past MAX_DIST_CELLS,
+    # which guards the branch enumeration but not the oracle
+    @pytest.mark.parametrize("a,n,s", [(5, 1009, 14), (2, 65519, 8),
+                                       (2, 65519, 11)])
     def test_matches_one_fft_per_group(self, a, n, s):
         want = _one_fft_per_group(a, n, s)
         got = dft_oracle_distribution(a, n, s).as_array()
