@@ -53,6 +53,8 @@ MAX_DIST_CELLS = 1 << 25
 
 NORM_TOLERANCE = 1e-12
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class StageRecord:
@@ -131,44 +133,58 @@ def total_variation(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
     return 0.5 * float(np.abs(d1.as_array() - d2.as_array()).sum())
 
 
-def _feedback_phase(stage: int, bits: list[int]) -> float:
-    """Feedback angle before the stage-k Hadamard: -2*pi*P/2**k."""
-    prefix = 0
-    for j, bit in enumerate(bits):
-        prefix |= bit << j
-    return -2.0 * np.pi * prefix / float(1 << stage)
-
-
 def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
     """Sample one trajectory; deterministic per seed.
 
     The work register starts at residue 1. Returns the readout y
     assembled from the measured bits (classical bit index = bit
     significance) and a stage-by-stage trace.
+
+    No stage allocates: the state lives in two preallocated (2, r)
+    complex buffers, four complex r-vectors (64 B per exponent column)
+    in all, and each shot costs O(s * r).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    work = np.zeros(circuit.work_register_span, dtype=np.complex128)
-    work[0] = 1.0  # residue 1 = a**0 sits in column 0
+    r = circuit.work_register_span
+    # pre[0] holds the work register between stages; pre[1] its copy
+    # shifted by the controlled multiply. post holds the two blocks
+    # after the Hadamard, one per control outcome.
+    pre = np.zeros((2, r), dtype=np.complex128)
+    post = np.empty((2, r), dtype=np.complex128)
+    pre[0, 0] = 1.0  # residue 1 = a**0 sits in column 0
+    # Dividing complex by a real c multiplies each float part by 1/c,
+    # so scaling the float views matches numpy's division bit for bit
+    # (up to the sign of an exact zero, which nothing reads).
+    pre_parts, post_parts = pre.view(np.float64), post.view(np.float64)
+    prefix = 0
     bits: list[int] = []
     records: list[StageRecord] = []
     stages = zip(circuit.multipliers, circuit.stage_shifts)
     for stage, (multiplier, shift) in enumerate(stages, start=1):
         # PREP+, then the controlled multiply shifts the control-|1> block
-        amps = np.vstack((work, np.roll(work, shift))) / np.sqrt(2.0)
+        np.multiply(pre_parts[0], _INV_SQRT2, out=pre_parts[0])
+        pre[1, shift:] = pre[0, :r - shift]
+        pre[1, :shift] = pre[0, r - shift:]
         phase = 0.0
         if stage > 1:
-            phase = _feedback_phase(stage, bits)
-            amps[1] *= np.exp(1j * phase)
-        amps = np.vstack((amps[0] + amps[1], amps[0] - amps[1])) / np.sqrt(2.0)
-        total = float(np.vdot(amps, amps).real)
+            # feedback angle from the bits measured so far: -2*pi*P/2**k
+            phase = -2.0 * np.pi * prefix / float(1 << stage)
+            pre[1] *= np.exp(1j * phase)
+        np.add(pre[0], pre[1], out=post[0])
+        np.subtract(pre[0], pre[1], out=post[1])
+        np.multiply(post_parts, _INV_SQRT2, out=post_parts)
+        total = float(np.vdot(post, post).real)
         if abs(total - 1.0) > NORM_TOLERANCE:
             raise SimulationError(f"state norm drifted to {total}")
-        p1 = float(np.vdot(amps[1], amps[1]).real)
+        p1 = float(np.vdot(post[1], post[1]).real)
         outcome = 1 if rng.random() < p1 else 0
         # renormalise by the kept block's own norm, not by its odds, so
-        # rounding error cannot grow by 1/p over unlikely outcomes
-        kept = amps[outcome]
-        work = kept / np.sqrt(float(np.vdot(kept, kept).real))
+        # rounding error cannot grow by 1/p over unlikely outcomes; for
+        # block 1 that norm is p1 itself
+        kept_norm = p1 if outcome else float(np.vdot(post[0], post[0]).real)
+        np.multiply(post_parts[outcome], 1.0 / np.sqrt(kept_norm),
+                    out=pre_parts[0])
+        prefix |= outcome << (stage - 1)
         bits.append(outcome)
         records.append(StageRecord(
             stage=stage,
@@ -178,17 +194,14 @@ def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
             bit=outcome,
         ))
 
-    y = 0
-    for j, bit in enumerate(bits):
-        y |= bit << j
     trace = RunTrace(
         seed=seed,
-        y=y,
+        y=prefix,
         bits=tuple(bits),
         stages=tuple(records),
-        work_register_span=circuit.work_register_span,
+        work_register_span=r,
     )
-    return y, trace
+    return prefix, trace
 
 
 def _check_readout_bits(s: int) -> None:

@@ -174,6 +174,14 @@ class TestSimulate:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "simulate_a2_n337_s12_seed0.json").read_text()
 
+    def test_seeded_large_register_is_pinned(self, capsys):
+        # r = 6000 columns over s = 32 stages, every p_one float
+        code, out, err = run_cli(capsys, "simulate", "--kind",
+                                 "semiclassical", "--a", "7", "--n", "60491",
+                                 "--seed", "0")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "simulate_a7_n60491_seed0.json").read_text()
+
 
 class TestDist:
     def test_compiled_is_unbiased(self, capsys):

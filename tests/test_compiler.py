@@ -451,6 +451,12 @@ class TestSerialization:
         with pytest.raises(CircuitFormatError):
             Circuit.from_json("[1, 2, 3]")
 
+    @pytest.mark.parametrize("data", [[], None, "x"],
+                             ids=["list", "none", "string"])
+    def test_json_dict_rejects_a_non_object(self, data):
+        with pytest.raises(CircuitFormatError, match="not a circuit"):
+            Circuit.from_json_dict(data)
+
     def test_text_span_is_recomputed(self):
         circuit = build_semiclassical_stages(7, 15, 8)
         parsed = Circuit.from_text(circuit.to_text())

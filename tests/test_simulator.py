@@ -10,6 +10,7 @@ shared code path would be none.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,40 @@ class TestRunCircuit:
             p = dist[y]
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(counts.get(y, 0) / shots - p) < 4 * sigma
+
+    @pytest.mark.parametrize("a,n,s", [(7, 15, 8), (2, 337, 12),
+                                       (11, 1009, 8)])
+    def test_stage_odds_match_exact_conditionals(self, a, n, s):
+        # each stage's p_one is P(bit k = 1 | the bits measured before
+        # it), read off the branch kernel's exact distribution; 2 mod
+        # 337 has order 21 < 2**12, 11 mod 1009 order 1008 > 2**8
+        circuit = build_semiclassical_stages(a, n, s)
+        probs = output_distribution(circuit).as_array()
+        for seed in range(6):
+            _, trace = run_circuit(circuit, seed)
+            prefix = 0
+            for k, record in enumerate(trace.stages, start=1):
+                # y's low k bits are the first k stages' outcomes
+                low = probs.reshape(-1, 1 << k).sum(axis=0)
+                seen = low[prefix] + low[prefix | 1 << (k - 1)]
+                assert abs(record.p_one
+                           - low[prefix | 1 << (k - 1)] / seen) < 1e-9
+                prefix |= record.bit << (k - 1)
+
+    def test_shot_works_in_preallocated_buffers(self):
+        # the state is a fixed handful of complex r-vectors, not a
+        # fresh array per operation of every stage
+        circuit = build_semiclassical_stages(7, 60491, 32)
+        r = circuit.work_register_span
+        run_circuit(circuit, 0)
+        tracemalloc.start()
+        try:
+            run_circuit(circuit, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r == 6000
+        assert peak <= 6 * 16 * r
 
 
 class TestGuards:
