@@ -34,9 +34,12 @@ total and the weights against cos(alpha) and sin(alpha).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+# numpy is imported inside the functions that use it, so a process
+# that simulates nothing never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Cells in one chunk's weight array (2**(s-1) branches x chunk columns).
 # Of 2**14 to 2**20, 2**17 and 2**18 ran fastest on the benchmark's
@@ -49,6 +52,8 @@ def _unit_circle(
     denominator: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2*pi*j/denominator for j in range(count)."""
+    import numpy as np
+
     angles = (2.0 * np.pi / denominator) * np.arange(count)
     return np.cos(angles), np.sin(angles)
 
@@ -68,6 +73,8 @@ def branch_states_numpy(
     product over stages of (1 +- cos theta). The 1/2 of every stage and
     the 1/r of the start state are left to the caller: 2**-K is exact.
     """
+    import numpy as np
+
     stages, width = column_cos.shape
     weights = np.empty((1 << stages, width))
     weights[0] = 1.0
@@ -103,6 +110,8 @@ def last_stage_sums(
     b + 2**(s-1) has (total - cos_sum)/2; the control qubit's reduced
     density before the last measurement follows from the same sums.
     """
+    import numpy as np
+
     s = len(shifts)
     branches = 1 << (s - 1)
     circle_cos, circle_sin = _unit_circle(span, span)
@@ -137,5 +146,7 @@ def branch_probabilities(shifts: Sequence[int], span: int) -> np.ndarray:
     shifts: the column shift of each stage (Circuit.stage_shifts);
     span: the order r of the work orbit.
     """
+    import numpy as np
+
     total, cos_sum, _ = last_stage_sums(shifts, span)
     return 0.5 * np.concatenate((total + cos_sum, total - cos_sum))

@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .compiler import find_period2_base, zalka_qubit_count
 from .errors import DomainError
@@ -25,6 +23,11 @@ from .postprocess import (
     FactorReport,
     derive_factors,
 )
+
+# numpy is imported inside the functions that use it, so a process
+# that simulates nothing never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # chi-square critical value, 1 degree of freedom, significance 0.001
 CHI2_1DOF_P999 = 10.8276
@@ -82,6 +85,8 @@ class CoinRun:
 
 
 def _toss_bits(n_tosses: int, seed: int) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.random(n_tosses) < 0.5
 

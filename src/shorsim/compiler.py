@@ -21,8 +21,8 @@ lines are derived from the triple, never stored. The work register is
 indexed by exponent: column j stands for a**j, and the stage-k
 controlled multiply is a cyclic shift of the columns by 2**(s-k) mod r.
 So the only size a circuit keeps is r, the order of a, found once per
-circuit by walking 1, a, a**2, ... back to 1; the residues themselves
-are never stored.
+circuit by a baby-step giant-step search bounded by MAX_WORK_SPAN; the
+residues themselves are never stored.
 """
 
 from __future__ import annotations
@@ -42,11 +42,15 @@ from .errors import (
 from .numtheory import Semiprime, _crt_sqrt1_roots, parse_decimal, to_decimal
 
 # A shot holds four complex r-vectors, 64 B per exponent column, so
-# this caps both its memory and the walk that finds r. At r = 1048572,
-# (a, n, s) = (2, 1048573, 41), one shot peaked at 98 MiB RSS in a
-# process that stood at 28 MiB before it (1.0-1.5 s; 2-CPU Intel Xeon,
-# Python 3.11, numpy 2.4).
+# this caps its memory, and the order search refuses past it. At
+# r = 1048572, (a, n, s) = (2, 1048573, 41), one shot peaked at 98 MiB
+# RSS in a process that stood at 28 MiB before it (1.0-1.5 s; 2-CPU
+# Intel Xeon, Python 3.11, numpy 2.4).
 MAX_WORK_SPAN = 1 << 20
+
+# Baby steps of the order search: a**0 ... a**255 are walked and kept,
+# then at most MAX_WORK_SPAN // 256 giant steps of a**256 look them up.
+_BABY_STEPS = 256
 
 CIRCUIT_JSON_FORMAT = "shorsim-circuit"
 
@@ -54,22 +58,35 @@ CIRCUIT_JSON_FORMAT = "shorsim-circuit"
 def work_orbit(modulus: int, multiplier: int) -> int:
     """The order r of a multiplier a, a unit mod modulus.
 
-    Walks the orbit 1, a, a**2, ... of residue 1 back to 1 and returns
-    its length, the span of the simulator's exponent basis; the values
-    are not kept. Refuses once the walk would pass MAX_WORK_SPAN values.
+    r is the length of the orbit 1, a, a**2, ... of residue 1, the span
+    of the simulator's exponent basis. A baby-step giant-step search
+    (Shanks) finds it in at most 256 + r/256 multiplications: r <= 256
+    turns up among the baby steps a**j, j < 256; otherwise the first
+    giant step i with a**(256*i) = a**j gives r = 256*i - j. Refuses r
+    above MAX_WORK_SPAN, after 256 + MAX_WORK_SPAN/256 steps.
     """
     if modulus < 2 or math.gcd(multiplier, modulus) != 1:
         raise DomainError(f"{multiplier} is not a unit mod {modulus}")
-    span = 1
-    w = multiplier % modulus
-    while w != 1:
-        if span >= MAX_WORK_SPAN:
-            raise RefusedTooLargeError(
-                f"work register span exceeds {MAX_WORK_SPAN}"
-            )
-        span += 1
-        w = w * multiplier % modulus
-    return span
+    a = multiplier % modulus
+    powers = [1]  # a**j for j < len(powers)
+    w = a
+    while len(powers) < _BABY_STEPS:
+        if w == 1:
+            return len(powers)
+        powers.append(w)
+        w = w * a % modulus
+    # r > 256 from here, so the baby steps are distinct; w = a**256
+    exponent_of = {value: j for j, value in enumerate(powers)}
+    giant = w
+    for i in range(1, MAX_WORK_SPAN // _BABY_STEPS + 1):
+        j = exponent_of.get(w)
+        if j is not None:
+            return _BABY_STEPS * i - j
+        w = w * giant % modulus
+    raise RefusedTooLargeError(
+        f"work register span of a = {to_decimal(a)} mod n = "
+        f"{to_decimal(modulus)} exceeds {MAX_WORK_SPAN}"
+    )
 
 
 # Gate kinds and the JSON names of their arguments, which are decimal
@@ -113,8 +130,9 @@ class Circuit:
     num_readout_bits: stage k multiplies by a**(2**(s-k)) mod n, so a
     is the last-stage multiplier and each earlier one is the square of
     the next. work_register_span is r, the order of a: the length of
-    the orbit of residue 1 under a, walked once, here, and the number of
-    columns the simulator allocates. The orbit's values are not kept.
+    the orbit of residue 1 under a, found once, here, by work_orbit's
+    bounded baby-step giant-step search, and the number of columns the
+    simulator allocates. The orbit's values are not kept.
     """
 
     modulus: int

@@ -31,13 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .compiler import Circuit
 from .errors import DomainError, RefusedTooLargeError, SimulationError
 from .numtheory import multiplicative_order
+
+# numpy is imported inside the functions that use it, so a process
+# that simulates nothing never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Exact enumeration refuses beyond these. The readout cap keeps the
 # dense outcome vector a desk-scale object; it is the oracle's only
@@ -53,7 +57,8 @@ MAX_DIST_CELLS = 1 << 25
 
 NORM_TOLERANCE = 1e-12
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# Bit for bit equal to 1.0 / np.sqrt(2.0).
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,8 @@ class OutcomeDistribution:
     """
 
     def __init__(self, probabilities: np.ndarray):
+        import numpy as np
+
         probs = np.asarray(probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("need a nonempty 1-d probability vector")
@@ -113,24 +120,19 @@ class OutcomeDistribution:
 
     def support(self, atol: float = 0.0) -> list[int]:
         """Outcomes with probability strictly above atol."""
-        return [int(y) for y in np.nonzero(self._probs > atol)[0]]
+        return [int(y) for y in (self._probs > atol).nonzero()[0]]
 
     def as_dict(self, nonzero_only: bool = True) -> dict[int, float]:
         if nonzero_only:
             return {y: float(self._probs[y]) for y in self.support()}
         return {int(y): float(p) for y, p in enumerate(self._probs)}
 
-    def to_plot_text(self) -> str:
-        """Two columns, outcome and probability, nonzero entries only."""
-        lines = [f"{y}\t{self._probs[y]:.17g}" for y in self.support()]
-        return "\n".join(lines) + "\n"
-
 
 def total_variation(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
     """Total variation distance between two same-length distributions."""
     if len(d1) != len(d2):
         raise DomainError("distributions cover different outcome sets")
-    return 0.5 * float(np.abs(d1.as_array() - d2.as_array()).sum())
+    return 0.5 * float(abs(d1.as_array() - d2.as_array()).sum())
 
 
 def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
@@ -144,6 +146,8 @@ def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
     complex buffers, four complex r-vectors (64 B per exponent column)
     in all, and each shot costs O(s * r).
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     r = circuit.work_register_span
     # pre[0] holds the work register between stages; pre[1] its copy
@@ -240,6 +244,8 @@ def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
     distinct group size, weighted by its group count. Independent of
     the circuit IR and of the branch kernels.
     """
+    import numpy as np
+
     if s < 1:
         raise DomainError("need at least one readout bit")
     if n < 2:
@@ -274,6 +280,8 @@ def control_reduced_density(circuit: Circuit) -> np.ndarray:
     weights w: rho00 = sum w(1 + cos theta_s)/2, rho11 =
     sum w(1 - cos theta_s)/2 and rho01 = (i/2) sum w sin theta_s.
     """
+    import numpy as np
+
     _check_enumeration_guards(circuit)
     total, cos_sum, sin_sum = _kernels.last_stage_sums(
         circuit.stage_shifts, circuit.work_register_span)
@@ -283,11 +291,3 @@ def control_reduced_density(circuit: Circuit) -> np.ndarray:
     rho[0, 1] = 0.5j * float(np.sum(sin_sum))
     rho[1, 0] = np.conj(rho[0, 1])
     return rho
-
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch components (x, y, z) of a 2x2 density matrix."""
-    x = 2.0 * rho[1, 0].real
-    y = 2.0 * rho[1, 0].imag
-    z = (rho[0, 0] - rho[1, 1]).real
-    return np.array([x, y, z], dtype=np.float64)

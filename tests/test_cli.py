@@ -205,6 +205,17 @@ class TestDist:
         assert code == 4
         assert json.loads(err)["error"]["type"] == "RefusedTooLargeError"
 
+    def test_long_orbit_refusal_names_the_base(self, capsys):
+        n = str((1 << 61) - 1)
+        code, out, err = run_cli(capsys, "dist", "--kind", "semiclassical",
+                                 "--a", "3", "--n", n, "--s", "4")
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == {
+            "type": "RefusedTooLargeError",
+            "message": f"work register span of a = 3 mod n = {n} "
+                       f"exceeds 1048576",
+        }
+
 
 class TestFactor:
     def test_seeded_output_is_pinned(self, capsys):

@@ -1,7 +1,9 @@
 """Circuit construction, validation, serialization, qubit budgets."""
 
 import json
+import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -92,6 +94,54 @@ class TestWorkOrbit:
         assert work_orbit(1 << 22, 3) == MAX_WORK_SPAN
         with pytest.raises(RefusedTooLargeError):
             work_orbit(1 << 23, 3)
+
+    def test_prime_modulus_boundary(self):
+        # 3 generates the units mod the primes 7 * 2**20 + 1,
+        # 8 * (2**20 + 1) + 1 and 5 * 2**25 + 1, so 3**7, 3**8 and 3**80
+        # have orders 2**20, 2**20 + 1 and 2**21
+        assert work_orbit(7340033, pow(3, 7, 7340033)) == MAX_WORK_SPAN
+        for modulus, exponent in ((8388617, 8), (167772161, 80)):
+            with pytest.raises(RefusedTooLargeError):
+                work_orbit(modulus, pow(3, exponent, modulus))
+
+    def test_refusal_is_quick(self):
+        # a linear walk took about 0.35 s to pass the cap
+        start = time.perf_counter()
+        with pytest.raises(RefusedTooLargeError):
+            work_orbit((1 << 61) - 1, 3)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "modulus", (15, 337, 1009, 3127, 32399, 65519, 1048573))
+    def test_matches_the_linear_scan(self, modulus):
+        rng = random.Random(modulus)
+        # the reference scan costs O(r) per unit: fewer draws mod 2**20-3
+        draws = 24 if modulus < 1 << 17 else 4
+        candidates = [*range(1, 13)]
+        candidates += [rng.randrange(1, modulus) for _ in range(draws)]
+        units = [a for a in candidates if math.gcd(a, modulus) == 1]
+        for a in units:
+            assert work_orbit(modulus, a) == multiplicative_order(a, modulus)
+
+    @pytest.mark.parametrize("modulus, lam, orders", (
+        (1048573, 1048572, (252, 266)),
+        (32399, 16020, (178, 267)),
+        # primes p = 1 mod the order wanted
+        (1021, 1020, (255,)),
+        (257, 256, (256,)),
+        (1543, 1542, (257,)),
+        (3067, 3066, (511,)),
+        (7681, 7680, (512,)),
+        (2053, 2052, (513,)),
+    ))
+    def test_orders_around_the_baby_steps(self, modulus, lam, orders):
+        # lam is the exponent of the unit group, so x**(lam/d) has an
+        # order dividing d; the first of order exactly d is kept
+        for d in orders:
+            unit = next(y for y in (pow(x, lam // d, modulus)
+                                    for x in range(2, modulus))
+                        if multiplicative_order(y, modulus) == d)
+            assert work_orbit(modulus, unit) == d
 
 
 class TestCompiledBase:
