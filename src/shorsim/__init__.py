@@ -13,7 +13,6 @@ from .coinlab import (
     chi_square_critical,
     chi_square_heads_tails,
     coin_factor_demo,
-    toss_series,
 )
 from .compiler import (
     Circuit,
@@ -41,10 +40,8 @@ from .errors import (
 from .fixtures import (
     FIXTURE_ENV,
     SupplementaryFixture,
-    available_fixtures,
     fixture_root,
     load_fixture,
-    verification_passed,
     verify_fixture,
 )
 from .numtheory import (
@@ -58,8 +55,6 @@ from .numtheory import (
     multiplicative_order,
     parse_decimal,
     random_probable_prime,
-    sqrt1_roots,
-    sqrt1_roots_with_signs,
     to_decimal,
 )
 from .postprocess import (
@@ -74,7 +69,6 @@ from .postprocess import (
 )
 from .simulator import (
     OutcomeDistribution,
-    RunTrace,
     StageRecord,
     control_reduced_density,
     dft_oracle_distribution,
@@ -91,7 +85,6 @@ __all__ = [
     "chi_square_critical",
     "chi_square_heads_tails",
     "coin_factor_demo",
-    "toss_series",
     "Circuit",
     "CompiledBase",
     "QubitBudget",
@@ -113,10 +106,8 @@ __all__ = [
     "VerificationError",
     "FIXTURE_ENV",
     "SupplementaryFixture",
-    "available_fixtures",
     "fixture_root",
     "load_fixture",
-    "verification_passed",
     "verify_fixture",
     "Convergent",
     "Semiprime",
@@ -128,8 +119,6 @@ __all__ = [
     "multiplicative_order",
     "parse_decimal",
     "random_probable_prime",
-    "sqrt1_roots",
-    "sqrt1_roots_with_signs",
     "to_decimal",
     "AttemptRecord",
     "FactorReport",
@@ -140,7 +129,6 @@ __all__ = [
     "odd_period_rescue",
     "run_full_algorithm",
     "OutcomeDistribution",
-    "RunTrace",
     "StageRecord",
     "control_reduced_density",
     "dft_oracle_distribution",

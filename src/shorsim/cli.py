@@ -141,12 +141,12 @@ def _cmd_circuit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     circuit = _circuit_from_args(args)
-    y, trace = run_circuit(circuit, args.seed)
+    y, stages = run_circuit(circuit, args.seed)
     _print_json({
         "y": to_decimal(y),
-        "bits": list(trace.bits),
+        "bits": [rec.bit for rec in stages],
         "num_readout_bits": circuit.num_readout_bits,
-        "work_register_span": trace.work_register_span,
+        "work_register_span": circuit.work_register_span,
         "seed": to_decimal(args.seed),
         "stages": [
             {
@@ -156,7 +156,7 @@ def _cmd_simulate(args) -> int:
                 "p_one": rec.p_one,
                 "bit": rec.bit,
             }
-            for rec in trace.stages
+            for rec in stages
         ],
     })
     return 0
@@ -166,10 +166,10 @@ def _cmd_dist(args) -> int:
     circuit = _circuit_from_args(args)
     dist = output_distribution(circuit)
     _print_json({
-        "num_outcomes": dist.num_outcomes,
+        "num_outcomes": len(dist),
         "num_readout_bits": circuit.num_readout_bits,
         "probabilities": {
-            to_decimal(y): p for y, p in dist.as_dict(nonzero_only=True).items()
+            to_decimal(y): p for y, p in dist.as_dict().items()
         },
     })
     return 0

@@ -9,10 +9,9 @@ provides the chi-square helpers the statistical checks lean on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .compiler import find_period2_base, zalka_qubit_count
 from .errors import DomainError
@@ -37,13 +36,6 @@ CHI2_1DOF_P999 = 10.8276
 _Z_P999 = 3.090232
 
 
-def _check_counts(tosses: int, heads: int) -> None:
-    if tosses < 1:
-        raise DomainError("a coin run needs at least one toss")
-    if not 0 <= heads <= tosses:
-        raise DomainError("heads count out of range")
-
-
 @dataclass(frozen=True)
 class CoinRun:
     """Toss statistics for one series, with the plug-in binomial error.
@@ -55,24 +47,20 @@ class CoinRun:
     label: str
     tosses: int
     heads: int
-    p_hat: float
-    sigma: float
 
     def __post_init__(self) -> None:
-        _check_counts(self.tosses, self.heads)
-        if abs(self.p_hat - self.heads / self.tosses) > 1e-12:
-            raise DomainError("p_hat must equal heads/tosses")
-        expected_sigma = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.tosses)
-        if abs(self.sigma - expected_sigma) > 1e-12:
-            raise DomainError("sigma must be the plug-in binomial error")
+        if self.tosses < 1:
+            raise DomainError("a coin run needs at least one toss")
+        if not 0 <= self.heads <= self.tosses:
+            raise DomainError("heads count out of range")
 
-    @classmethod
-    def from_counts(cls, label: str, tosses: int, heads: int) -> "CoinRun":
-        _check_counts(tosses, heads)  # before the division below
-        p_hat = heads / tosses
-        sigma = math.sqrt(p_hat * (1.0 - p_hat) / tosses)
-        return cls(label=label, tosses=tosses, heads=heads,
-                   p_hat=p_hat, sigma=sigma)
+    @property
+    def p_hat(self) -> float:
+        return self.heads / self.tosses
+
+    @property
+    def sigma(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.tosses)
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,22 +79,14 @@ def _toss_bits(n_tosses: int, seed: int) -> np.ndarray:
     return rng.random(n_tosses) < 0.5
 
 
-def toss_series(n_tosses: int, seed: int, label: str = "coin") -> CoinRun:
-    """Toss a fair coin n_tosses times; deterministic per seed."""
-    if n_tosses < 1:
-        raise DomainError("a coin run needs at least one toss")
-    bits = _toss_bits(n_tosses, seed)
-    return CoinRun.from_counts(label, n_tosses, int(bits.sum()))
-
-
 def coin_factor_demo(sp: Semiprime, n_tosses: int,
                      seed: int) -> tuple[CoinRun, FactorReport]:
     """Factor a semiprime with a coin.
 
-    Tosses the full series up front (the CoinRun matches toss_series
-    with the same seed), then consumes tosses in order: the first heads
-    is read as y = 1 from the compiled circuit, giving period 2 and the
-    factors via the CRT base. All tails means no period this series.
+    Tosses the full series up front and returns its counts as a
+    CoinRun, then consumes tosses in order: the first heads is read as
+    y = 1 from the compiled circuit, giving period 2 and the factors
+    via the CRT base. All tails means no period this series.
     Requires known factors, exactly like the compiled pipeline it
     shadows.
     """
@@ -117,7 +97,7 @@ def coin_factor_demo(sp: Semiprime, n_tosses: int,
     n_bits = n.bit_length()
     label = to_decimal(n) if n_bits <= 64 else f"{n_bits}-bit semiprime"
     bits = _toss_bits(n_tosses, seed)
-    run = CoinRun.from_counts(label, n_tosses, int(bits.sum()))
+    run = CoinRun(label, n_tosses, int(bits.sum()))
 
     first_head: Optional[int] = None
     for i, b in enumerate(bits):
@@ -240,16 +220,3 @@ def chi_square_binomial(head_counts: Sequence[int], tosses_per_run: int,
     stat = sum((o - e) ** 2 / e for o, e in bins)
     dof = len(bins) - 1
     return stat, dof, chi_square_critical(dof)
-
-
-def to_plot_text(runs: Iterable[CoinRun]) -> str:
-    """Tab-separated label / p_hat / sigma lines for external plotting."""
-    lines = ["label\tp_hat\tsigma"]
-    for run in runs:
-        lines.append(f"{run.label}\t{run.p_hat:.6f}\t{run.sigma:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def to_plot_json(runs: Iterable[CoinRun]) -> str:
-    payload = [run.to_json_dict() for run in runs]
-    return json.dumps(payload, indent=2, sort_keys=True)

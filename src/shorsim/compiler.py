@@ -39,7 +39,7 @@ from .errors import (
     NotCompilableError,
     RefusedTooLargeError,
 )
-from .numtheory import Semiprime, _crt_sqrt1_roots, parse_decimal, to_decimal
+from .numtheory import Semiprime, parse_decimal, to_decimal
 
 # A shot holds four complex r-vectors, 64 B per exponent column, so
 # this caps its memory, and the order search refuses past it. At
@@ -329,7 +329,14 @@ class CompiledBase:
 
 
 def find_period2_bases(sp: Semiprime) -> tuple[CompiledBase, CompiledBase]:
-    """Both nontrivial period-2 bases for a semiprime with known factors."""
+    """Both nontrivial period-2 bases for a semiprime with known factors,
+    ascending: the nontrivial square roots of 1 mod n = p*q.
+
+    Writing e_q = p * inv(p mod q) and e_p = q * inv(q mod p), the four
+    sign combinations of e_q and e_p cover all square roots of unity mod
+    n; the two mixed-sign combinations are the nontrivial ones, and they
+    sum to n. A sign choice ("+", "-") means the base is +e_q - e_p mod n.
+    """
     if not sp.has_factors:
         raise CompilationRequiresFactorsError(
             "finding a period-2 base requires the factors of n; that is "
@@ -337,11 +344,12 @@ def find_period2_bases(sp: Semiprime) -> tuple[CompiledBase, CompiledBase]:
         )
     assert sp.p is not None and sp.q is not None
     # Semiprime validated both primes on construction; no second verdict.
-    (a1, s1), (a2, s2) = _crt_sqrt1_roots(sp.p, sp.q)
-    return (
-        CompiledBase(a1, sp.n, 2, s1),
-        CompiledBase(a2, sp.n, 2, s2),
-    )
+    p, q, n = sp.p, sp.q, sp.n
+    e_q = p * pow(p, -1, q) % n  # 0 mod p, 1 mod q
+    e_p = q * pow(q, -1, p) % n  # 1 mod p, 0 mod q
+    first = CompiledBase((e_q - e_p) % n, n, 2, ("+", "-"))
+    second = CompiledBase((e_p - e_q) % n, n, 2, ("-", "+"))
+    return (first, second) if first.a < second.a else (second, first)
 
 
 def find_period2_base(sp: Semiprime) -> CompiledBase:

@@ -52,17 +52,6 @@ def fixture_root(override: Optional[Union[str, Path]] = None) -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-def available_fixtures(root: Optional[Union[str, Path]] = None) -> list[str]:
-    base = fixture_root(root)
-    if not base.is_dir():
-        return []
-    names = []
-    for child in sorted(base.iterdir()):
-        if child.is_dir() and all((child / f).is_file() for f in _REQUIRED):
-            names.append(child.name)
-    return names
-
-
 def _read_decimal(path: Path) -> int:
     try:
         text = path.read_text()
@@ -124,7 +113,3 @@ def verify_fixture(fixture: SupplementaryFixture) -> list[tuple[str, bool]]:
         a1, a2 = fixture.bases
         checks.append(("a1 + a2 == n", a1 + a2 == n))
     return checks
-
-
-def verification_passed(fixture: SupplementaryFixture) -> bool:
-    return all(ok for _, ok in verify_fixture(fixture))

@@ -4,10 +4,9 @@ Everything here runs on plain Python ints, which are unbounded, so the
 same code path serves N = 15 and a 20000-bit semiprime. The classical
 half of the factoring pipeline lives in this module: checked wrappers
 around the interpreter's gcd, modular power and inverse, primality
-testing, brute-force order finding (test oracle only, guarded),
-continued fractions, and the CRT construction of the nontrivial square
-roots of 1 mod pq. Inside the package, callers whose inputs are already
-in range call pow and math.gcd directly.
+testing, brute-force order finding (test oracle only, guarded) and
+continued fractions. Inside the package, callers whose inputs are
+already in range call pow and math.gcd directly.
 """
 
 from __future__ import annotations
@@ -215,49 +214,6 @@ def _validate_odd_prime(x: int, name: str) -> None:
         raise DomainError(f"{name} must be an odd number greater than 2")
     if x.bit_length() <= AUTO_PRIMALITY_BIT_LIMIT and not is_probable_prime(x):
         raise DomainError(f"{name} failed the primality check")
-
-
-def sqrt1_roots_with_signs(
-    p: int, q: int
-) -> tuple[tuple[int, tuple[str, str]], tuple[int, tuple[str, str]]]:
-    """Nontrivial square roots of 1 mod p*q with their CRT sign choices.
-
-    Writing e_q = p * inv(p mod q) and e_p = q * inv(q mod p), the four
-    sign combinations of e_q and e_p cover all square roots of unity mod
-    p*q; the two mixed-sign combinations are the nontrivial ones. A sign
-    pair ("+", "-") means the root is +e_q - e_p mod p*q. Results are
-    sorted by root value.
-    """
-    _check_nonneg(p, q)
-    if p == q:
-        raise DomainError("p and q must be distinct (CRT needs coprimality)")
-    _validate_odd_prime(p, "p")
-    _validate_odd_prime(q, "q")
-    return _crt_sqrt1_roots(p, q)
-
-
-def _crt_sqrt1_roots(
-    p: int, q: int
-) -> tuple[tuple[int, tuple[str, str]], tuple[int, tuple[str, str]]]:
-    """sqrt1_roots_with_signs for distinct odd primes already validated,
-    as the factors of a Semiprime are."""
-    n = p * q
-    e_q = p * pow(p, -1, q) % n  # 0 mod p, 1 mod q
-    e_p = q * pow(q, -1, p) % n  # 1 mod p, 0 mod q
-    first = ((e_q - e_p) % n, ("+", "-"))
-    second = ((e_p - e_q) % n, ("-", "+"))
-    lo, hi = sorted((first, second))
-    return lo, hi
-
-
-def sqrt1_roots(p: int, q: int) -> tuple[int, int]:
-    """The two nontrivial square roots of 1 mod p*q, ascending.
-
-    Both returned values a satisfy a*a = 1 mod pq with 1 < a < pq - 1,
-    and the pair sums to pq.
-    """
-    (a1, _), (a2, _) = sqrt1_roots_with_signs(p, q)
-    return a1, a2
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .numtheory import (
     Convergent,
     Semiprime,
     continued_fraction_convergents,
+    is_probable_prime,
     to_decimal,
 )
 
@@ -48,13 +49,7 @@ MODE_HONEST = "honest-random-base"
 MODE_COMPILED = "compiled-crt"
 MODE_COIN = "coin"
 
-_MODE_ALIASES = {
-    "honest": MODE_HONEST,
-    MODE_HONEST: MODE_HONEST,
-    "compiled": MODE_COMPILED,
-    MODE_COMPILED: MODE_COMPILED,
-    "coin": MODE_COIN,
-}
+_MODES = {"honest": MODE_HONEST, "compiled": MODE_COMPILED, "coin": MODE_COIN}
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,6 @@ class PeriodCandidate:
     r: int
     source_convergent: Convergent
     multiplier: int
-    verified: bool
 
     @property
     def direct(self) -> bool:
@@ -101,7 +95,6 @@ def extract_period(y: int, s_pow: int, a: int, n: int) -> Optional[PeriodCandida
                     r=candidate,
                     source_convergent=conv,
                     multiplier=k,
-                    verified=True,
                 )
     return None
 
@@ -290,7 +283,7 @@ def compose_honesty_note(n: int, period: Optional[int],
 
 def canonical_mode(mode: str) -> str:
     try:
-        return _MODE_ALIASES[mode]
+        return _MODES[mode]
     except KeyError:
         raise DomainError(
             f"unknown mode {mode!r}; expected honest, compiled, or coin"
@@ -302,9 +295,40 @@ def _normalized_factors(g: int, n: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _prime_split(g: int, n: int) -> tuple[int, int]:
+    """The split g x n/g of an honest run, refused unless both parts are
+    prime: anything else means n is not a product of two primes."""
+    lo, hi = _normalized_factors(g, n)
+    for part in (lo, hi):
+        if not is_probable_prime(part):
+            raise DomainError(
+                f"{n} splits as {lo} x {hi}, but {part} is composite, so "
+                f"{n} is not a product of two distinct primes"
+            )
+    return lo, hi
+
+
+def _perfect_power(n: int) -> Optional[tuple[int, int]]:
+    """(b, k) with n = b**k for the least k >= 2, or None.
+
+    Each k-th root is an integer bisection, exact at any size.
+    """
+    for k in range(2, n.bit_length()):
+        lo, hi = 2, 1 << (n.bit_length() // k + 1)  # hi**k > n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid ** k < n:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo ** k == n:
+            return lo, k
+    return None
+
+
 def run_full_algorithm(
     sp: Semiprime,
-    mode: str = MODE_HONEST,
+    mode: str = "honest",
     s_override: Optional[int] = None,
     seed: int = 0,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -312,9 +336,10 @@ def run_full_algorithm(
     """The whole loop: pick a base, run the circuit, recover the period,
     derive factors, retry on dead ends.
 
-    Honest mode refuses a perfect-square n, draws bases uniformly from
-    [2, n-2] and simulates the staged circuit with s = s_override or
-    default_s(n). Compiled mode uses the CRT period-2 base (factors
+    Honest mode refuses a prime or perfect-power n, draws bases
+    uniformly from [2, n-2], simulates the staged circuit with s =
+    s_override or default_s(n), and refuses a split with a composite
+    part. Compiled mode uses the CRT period-2 base (factors
     required) and the one-stage circuit. Coin mode hands off to the
     coin-toss reduction with max_attempts tosses. Deterministic per
     seed; exhausting max_attempts yields a report with factors = None
@@ -344,10 +369,18 @@ def run_full_algorithm(
                 f"honest mode simulates the full residue cycle and refuses "
                 f"moduli at or above {HONEST_MODULUS_LIMIT}"
             )
-        if math.isqrt(n) ** 2 == n:
+        # Shor's classical pre-steps: a prime has nothing to split and a
+        # perfect power is no product of two distinct primes, so neither
+        # gets a base
+        if is_probable_prime(n):
+            raise DomainError(f"{n} is prime, so there is nothing to split")
+        power = _perfect_power(n)
+        if power is not None:
+            root, k = power
             raise DomainError(
-                f"{n} is a perfect square, never a product of two distinct "
-                f"primes"
+                f"{n} = {root}**{k} is a perfect "
+                f"{'square' if k == 2 else 'power'}, never a product of "
+                f"two distinct primes"
             )
         if s is None:
             s = default_s(n)
@@ -368,7 +401,7 @@ def run_full_algorithm(
             a = master.randrange(2, n - 1)
             shortcut = math.gcd(a, n)
             if shortcut > 1:
-                factors = _normalized_factors(shortcut, n)
+                factors = _prime_split(shortcut, n)
                 details.append(AttemptRecord(
                     index=attempt, base=a, gcd_shortcut=True, y=None,
                     period=None, multiplier=None, outcome="gcd-shortcut",
@@ -401,7 +434,10 @@ def run_full_algorithm(
                 outcome="period-without-factors",
             ))
             continue
-        factors = _normalized_factors(factors_raw[0], n)
+        if mode == MODE_HONEST:
+            factors = _prime_split(factors_raw[0], n)
+        else:  # the CRT base splits n into its validated p and q
+            factors = _normalized_factors(factors_raw[0], n)
         details.append(AttemptRecord(
             index=attempt, base=a, gcd_shortcut=False, y=y,
             period=candidate.r, multiplier=candidate.multiplier,

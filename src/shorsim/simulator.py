@@ -72,17 +72,6 @@ class StageRecord:
     bit: int
 
 
-@dataclass(frozen=True)
-class RunTrace:
-    """History summary of one seeded trajectory."""
-
-    seed: int
-    y: int
-    bits: tuple[int, ...]
-    stages: tuple[StageRecord, ...]
-    work_register_span: int
-
-
 class OutcomeDistribution:
     """Exact probabilities over every readout y in [0, 2**s).
 
@@ -111,21 +100,16 @@ class OutcomeDistribution:
     def __getitem__(self, y: int) -> float:
         return float(self._probs[y])
 
-    @property
-    def num_outcomes(self) -> int:
-        return int(self._probs.size)
-
     def as_array(self) -> np.ndarray:
         return self._probs
 
-    def support(self, atol: float = 0.0) -> list[int]:
-        """Outcomes with probability strictly above atol."""
-        return [int(y) for y in (self._probs > atol).nonzero()[0]]
+    def support(self) -> list[int]:
+        """Outcomes with nonzero probability."""
+        return [int(y) for y in self._probs.nonzero()[0]]
 
-    def as_dict(self, nonzero_only: bool = True) -> dict[int, float]:
-        if nonzero_only:
-            return {y: float(self._probs[y]) for y in self.support()}
-        return {int(y): float(p) for y, p in enumerate(self._probs)}
+    def as_dict(self) -> dict[int, float]:
+        """Probability per outcome in the support."""
+        return {y: float(self._probs[y]) for y in self.support()}
 
 
 def total_variation(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
@@ -135,12 +119,13 @@ def total_variation(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
     return 0.5 * float(abs(d1.as_array() - d2.as_array()).sum())
 
 
-def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
+def run_circuit(circuit: Circuit,
+                seed: int) -> tuple[int, tuple[StageRecord, ...]]:
     """Sample one trajectory; deterministic per seed.
 
     The work register starts at residue 1. Returns the readout y
     assembled from the measured bits (classical bit index = bit
-    significance) and a stage-by-stage trace.
+    significance) and one StageRecord per stage, first to last.
 
     No stage allocates: the state lives in two preallocated (2, r)
     complex buffers, four complex r-vectors (64 B per exponent column)
@@ -161,7 +146,6 @@ def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
     # (up to the sign of an exact zero, which nothing reads).
     pre_parts, post_parts = pre.view(np.float64), post.view(np.float64)
     prefix = 0
-    bits: list[int] = []
     records: list[StageRecord] = []
     stages = zip(circuit.multipliers, circuit.stage_shifts)
     for stage, (multiplier, shift) in enumerate(stages, start=1):
@@ -189,7 +173,6 @@ def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
         np.multiply(post_parts[outcome], 1.0 / np.sqrt(kept_norm),
                     out=pre_parts[0])
         prefix |= outcome << (stage - 1)
-        bits.append(outcome)
         records.append(StageRecord(
             stage=stage,
             multiplier=multiplier,
@@ -197,15 +180,7 @@ def run_circuit(circuit: Circuit, seed: int) -> tuple[int, RunTrace]:
             p_one=p1,
             bit=outcome,
         ))
-
-    trace = RunTrace(
-        seed=seed,
-        y=prefix,
-        bits=tuple(bits),
-        stages=tuple(records),
-        work_register_span=r,
-    )
-    return prefix, trace
+    return prefix, tuple(records)
 
 
 def _check_readout_bits(s: int) -> None:

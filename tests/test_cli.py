@@ -284,6 +284,19 @@ class TestFactor:
         assert error["type"] == "DomainError"
         assert "perfect square" in error["message"]
 
+    @pytest.mark.parametrize("n,message", [
+        ("65537", "65537 is prime"),
+        ("1331", "1331 = 11**3 is a perfect power"),
+        ("105", "105 splits as 3 x 35, but 35 is composite"),
+    ])
+    def test_honest_refuses_what_is_no_semiprime(self, capsys, n, message):
+        code, out, err = run_cli(capsys, "factor", "--n", n)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert message in error["message"]
+
 
 class TestCoinDemo:
     def test_output_shape(self, capsys):

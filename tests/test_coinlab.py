@@ -1,6 +1,5 @@
 """Coin-toss reduction: statistics, the demo loop, chi-square helpers."""
 
-import json
 import math
 import random
 
@@ -14,9 +13,6 @@ from shorsim.coinlab import (
     chi_square_critical,
     chi_square_heads_tails,
     coin_factor_demo,
-    to_plot_json,
-    to_plot_text,
-    toss_series,
 )
 from shorsim.errors import CompilationRequiresFactorsError, DomainError
 from shorsim.fixtures import load_fixture
@@ -26,51 +22,60 @@ from shorsim.postprocess import MODE_COIN, run_full_algorithm
 
 class TestCoinRun:
     def test_from_counts(self):
-        run = CoinRun.from_counts("x", 10, 5)
+        run = CoinRun("x", 10, 5)
         assert run.p_hat == 0.5
         assert run.sigma == pytest.approx(math.sqrt(0.025), abs=1e-15)
 
     def test_extreme_counts_have_zero_sigma(self):
-        assert CoinRun.from_counts("x", 8, 0).sigma == 0.0
-        assert CoinRun.from_counts("x", 8, 8).sigma == 0.0
+        assert CoinRun("x", 8, 0).sigma == 0.0
+        assert CoinRun("x", 8, 8).sigma == 0.0
 
     def test_heads_beyond_tosses_rejected(self):
         with pytest.raises(DomainError):
-            CoinRun.from_counts("x", 5, 6)
-
-    def test_inconsistent_fields_rejected(self):
+            CoinRun("x", 5, 6)
         with pytest.raises(DomainError):
-            CoinRun("x", 10, 5, 0.6, 0.15)
-        with pytest.raises(DomainError):
-            CoinRun("x", 10, 5, 0.5, 0.3)
+            CoinRun("x", 5, -1)
 
     def test_zero_tosses_rejected(self):
         with pytest.raises(DomainError):
-            CoinRun.from_counts("x", 0, 0)
+            CoinRun("x", 0, 0)
+
+
+def _toss_run(n_tosses: int, seed: int) -> CoinRun:
+    run, _ = coin_factor_demo(Semiprime.from_factors(3, 5), n_tosses, seed)
+    return run
 
 
 class TestTossSeries:
+    """The toss series that coin_factor_demo returns as its CoinRun."""
+
     def test_deterministic(self):
-        assert toss_series(100, 7) == toss_series(100, 7)
+        assert _toss_run(100, 7) == _toss_run(100, 7)
 
     def test_pinned_counts(self):
-        assert toss_series(10, 0).heads == 3
-        assert toss_series(10, 1).heads == 5
-        assert toss_series(10, 2).heads == 6
+        assert _toss_run(10, 0).heads == 3
+        assert _toss_run(10, 1).heads == 5
+        assert _toss_run(10, 2).heads == 6
 
     def test_fields(self):
-        run = toss_series(20, 3, label="demo")
-        assert run.label == "demo"
+        run = _toss_run(20, 3)
+        assert run.label == "15"
         assert run.tosses == 20
         assert 0 <= run.heads <= 20
         assert run.p_hat == run.heads / 20
+        assert run.to_json_dict() == {
+            "label": "15", "tosses": 20, "heads": run.heads,
+            "p_hat": run.heads / 20,
+            "sigma": math.sqrt(run.p_hat * (1.0 - run.p_hat) / 20),
+        }
 
     def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            toss_series(0, 0)
+        for n_tosses in (0, -1):
+            with pytest.raises(DomainError):
+                _toss_run(n_tosses, 0)
 
     def test_long_run_frequency(self):
-        run = toss_series(100_000, 123)
+        run = _toss_run(100_000, 123)
         assert abs(run.p_hat - 0.5) < 4 * math.sqrt(0.25 / 100_000)
 
 
@@ -84,9 +89,11 @@ class TestCoinFactorDemo:
         assert run.heads == 3
 
     def test_coin_run_matches_toss_series(self):
-        run, _ = coin_factor_demo(Semiprime.from_factors(3, 5), 10, 2)
-        series = toss_series(10, 2, label=run.label)
-        assert run == series
+        run, rep = coin_factor_demo(Semiprime.from_factors(3, 5), 10, 2)
+        tosses = np.random.Generator(np.random.PCG64(2)).random(10) < 0.5
+        assert run == CoinRun("15", 10, int(tosses.sum()))
+        assert [d.y for d in rep.attempt_details] \
+            == [int(b) for b in tosses[:rep.attempts]]
 
     def test_attempts_is_first_head_index(self):
         bits_seen = np.random.Generator(np.random.PCG64(4)).random(10) < 0.5
@@ -144,7 +151,7 @@ class TestChiSquare:
         assert chi_square_heads_tails(0, 100) == pytest.approx(100.0)
 
     def test_fair_data_passes(self):
-        run = toss_series(100_000, 5)
+        run = _toss_run(100_000, 5)
         assert chi_square_heads_tails(run.heads, run.tosses) < CHI2_1DOF_P999
 
     def test_biased_data_fails(self):
@@ -189,22 +196,3 @@ class TestChiSquare:
             chi_square_binomial([11], 10)
         with pytest.raises(DomainError):
             chi_square_binomial([5], 10, p=1.0)
-
-
-class TestPlotEmitters:
-    def test_text_layout(self):
-        runs = [toss_series(10, s, label=f"run{s}") for s in range(3)]
-        text = to_plot_text(runs)
-        lines = text.splitlines()
-        assert lines[0] == "label\tp_hat\tsigma"
-        assert len(lines) == 4
-        assert lines[1].startswith("run0\t")
-        cols = lines[1].split("\t")
-        assert float(cols[1]) == pytest.approx(runs[0].p_hat, abs=1e-6)
-
-    def test_json_layout(self):
-        runs = [toss_series(10, s) for s in range(2)]
-        payload = json.loads(to_plot_json(runs))
-        assert len(payload) == 2
-        assert payload[0]["tosses"] == 10
-        assert set(payload[0]) == {"label", "tosses", "heads", "p_hat", "sigma"}

@@ -8,19 +8,21 @@ from shorsim.errors import DomainError
 from shorsim.fixtures import (
     FIXTURE_ENV,
     SupplementaryFixture,
-    available_fixtures,
     fixture_root,
     load_fixture,
-    verification_passed,
     verify_fixture,
 )
 
 
+def _passes(fixture: SupplementaryFixture) -> bool:
+    return all(ok for _, ok in verify_fixture(fixture))
+
+
 class TestLoading:
     def test_both_fixtures_ship(self):
-        names = available_fixtures()
-        assert "rsa768" in names
-        assert "n20000" in names
+        for name in ("rsa768", "n20000"):
+            assert (fixture_root() / name).is_dir()
+            assert load_fixture(name).name == name
 
     def test_rsa768_shapes(self):
         fx = load_fixture("rsa768")
@@ -50,7 +52,9 @@ class TestLoading:
     def test_env_var_overrides_root(self, tmp_path, monkeypatch):
         shutil.copytree(fixture_root() / "rsa768", tmp_path / "alt")
         monkeypatch.setenv(FIXTURE_ENV, str(tmp_path))
-        assert available_fixtures() == ["alt"]
+        assert fixture_root() == tmp_path
+        with pytest.raises(DomainError):
+            load_fixture("rsa768")
         fx = load_fixture("alt")
         assert fx.n.bit_length() == 768
 
@@ -82,13 +86,13 @@ class TestVerification:
         checks = verify_fixture(fx)
         assert checks, "no checks ran"
         assert all(ok for _, ok in checks), checks
-        assert verification_passed(fx)
+        assert _passes(fx)
         labels = [label for label, _ in checks]
         assert any("a1 + a2" in label for label in labels)
 
     def test_n20000_passes_every_check(self):
         fx = load_fixture("n20000")
-        assert verification_passed(fx)
+        assert _passes(fx)
         # one base only, so no complementary-pair check
         labels = [label for label, _ in verify_fixture(fx)]
         assert not any("a1 + a2" in label for label in labels)
@@ -104,7 +108,7 @@ class TestVerification:
                 break
         (broken / "a1.txt").write_text(text)
         fx = load_fixture(broken)
-        assert not verification_passed(fx)
+        assert not _passes(fx)
         failed = [label for label, ok in verify_fixture(fx) if not ok]
         assert any("1 mod n" in label or "reproduce" in label
                    for label in failed)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shorsim.compiler import find_period2_bases
 from shorsim.errors import DomainError, NotInvertibleError, RefusedTooLargeError
 from shorsim.numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
@@ -27,8 +28,6 @@ from shorsim.numtheory import (
     multiplicative_order,
     parse_decimal,
     random_probable_prime,
-    sqrt1_roots,
-    sqrt1_roots_with_signs,
     to_decimal,
 )
 
@@ -209,37 +208,46 @@ class TestConvergents:
             assert best == Fraction(c.numerator, c.denominator)
 
 
+def _sqrt1_roots(p: int, q: int) -> tuple[int, int]:
+    a1, a2 = find_period2_bases(Semiprime.from_factors(p, q))
+    return a1.a, a2.a
+
+
 class TestSqrt1Roots:
+    """The nontrivial square roots of 1 mod pq, reached through
+    find_period2_bases, the one way in to their CRT construction."""
+
     def test_fifteen(self):
-        assert sqrt1_roots(3, 5) == (4, 11)
+        assert _sqrt1_roots(3, 5) == (4, 11)
 
     def test_twenty_one(self):
-        assert sqrt1_roots(3, 7) == (8, 13)
+        assert _sqrt1_roots(3, 7) == (8, 13)
 
     def test_signs_describe_the_crt_combination(self):
-        (a1, s1), (a2, s2) = sqrt1_roots_with_signs(3, 5)
-        assert (a1, a2) == (4, 11)
-        assert {s1, s2} == {("+", "-"), ("-", "+")}
+        b1, b2 = find_period2_bases(Semiprime.from_factors(3, 5))
+        assert (b1.a, b2.a) == (4, 11)
+        assert {b1.sign_choice, b2.sign_choice} == {("+", "-"), ("-", "+")}
         # reconstruct each root from its sign pair
         n = 15
         e_q = 3 * mod_inverse(3 % 5, 5) % n
         e_p = 5 * mod_inverse(5 % 3, 3) % n
-        for root, (sgn_q, sgn_p) in ((a1, s1), (a2, s2)):
+        for base in (b1, b2):
+            sgn_q, sgn_p = base.sign_choice
             val = (e_q if sgn_q == "+" else -e_q) + \
                   (e_p if sgn_p == "+" else -e_p)
-            assert val % n == root
+            assert val % n == base.a
 
     def test_equal_factors_rejected(self):
         with pytest.raises(DomainError):
-            sqrt1_roots(5, 5)
+            _sqrt1_roots(5, 5)
 
     def test_even_factor_rejected(self):
         with pytest.raises(DomainError):
-            sqrt1_roots(2, 7)
+            _sqrt1_roots(2, 7)
 
     def test_composite_factor_rejected(self):
         with pytest.raises(DomainError):
-            sqrt1_roots(9, 5)
+            _sqrt1_roots(9, 5)
 
     def test_random_prime_pairs(self):
         rng = random.Random(97)
@@ -249,10 +257,11 @@ class TestSqrt1Roots:
             if p == q:
                 continue
             n = p * q
-            a1, a2 = sqrt1_roots(p, q)
+            a1, a2 = _sqrt1_roots(p, q)
             for a in (a1, a2):
                 assert 1 < a < n - 1
                 assert a * a % n == 1
+            assert a1 < a2
             assert a1 + a2 == n
             assert {math.gcd(a1 - 1, n), math.gcd(a1 + 1, n)} == {p, q}
 

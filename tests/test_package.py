@@ -39,6 +39,32 @@ def _numpy_loaded(argv):
     return json.loads(done.stdout)
 
 
+def test_public_surface():
+    # each name is reached by the CLI, the README, the benchmark or the
+    # acceptance tests, or is what one of those gets back; a new export
+    # has to be added here on purpose
+    assert sorted(shorsim.__all__) == [
+        "AttemptRecord", "Circuit", "CircuitFormatError", "CoinRun",
+        "CompilationRequiresFactorsError", "CompiledBase", "Convergent",
+        "DomainError", "FIXTURE_ENV", "FactorReport", "NotCompilableError",
+        "NotInvertibleError", "OutcomeDistribution", "PeriodCandidate",
+        "QubitBudget", "RefusedTooLargeError", "Semiprime", "ShorsimError",
+        "SimulationError", "StageRecord", "SupplementaryFixture",
+        "VerificationError", "__version__", "build_compiled_circuit",
+        "build_semiclassical_stages", "chi_square_binomial",
+        "chi_square_critical", "chi_square_heads_tails", "coin_factor_demo",
+        "compose_honesty_note", "continued_fraction_convergents",
+        "control_reduced_density", "default_s", "derive_factors",
+        "dft_oracle_distribution", "extract_period", "find_period2_base",
+        "find_period2_bases", "fixture_root", "gcd", "is_probable_prime",
+        "load_fixture", "mod_inverse", "mod_pow", "multiplicative_order",
+        "odd_period_rescue", "output_distribution", "parse_decimal",
+        "random_probable_prime", "run_circuit", "run_full_algorithm",
+        "to_decimal", "total_variation", "verify_fixture", "work_orbit",
+        "zalka_qubit_count",
+    ]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in shorsim.__all__
                if not hasattr(shorsim, name)]

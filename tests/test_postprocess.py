@@ -43,7 +43,6 @@ class TestExtractPeriod:
         assert cand.r == 4
         assert cand.multiplier == 1
         assert cand.direct
-        assert cand.verified
         assert cand.source_convergent == Convergent(1, 4)
 
     def test_zero_readout_is_uninformative(self):
@@ -258,7 +257,15 @@ class TestModeNames:
         assert canonical_mode("honest") == MODE_HONEST
         assert canonical_mode("compiled") == MODE_COMPILED
         assert canonical_mode("coin") == MODE_COIN
-        assert canonical_mode(MODE_HONEST) == MODE_HONEST
+        # the long spellings are report values, not inputs
+        for report_value in (MODE_HONEST, MODE_COMPILED):
+            with pytest.raises(DomainError):
+                canonical_mode(report_value)
+
+    def test_default_is_honest(self):
+        rep = run_full_algorithm(Semiprime(15), seed=0)
+        assert rep.to_json_dict() == run_full_algorithm(
+            Semiprime(15), mode="honest", seed=0).to_json_dict()
 
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
@@ -325,13 +332,30 @@ class TestRunFullHonest:
         with pytest.raises(DomainError, match="perfect square"):
             run_full_algorithm(Semiprime(44521), mode="honest", seed=0)
 
-    def test_unlikely_outcomes_keep_the_state_normalised(self):
-        # this seed samples outcomes of small probability; renormalising
-        # by that probability instead of the kept block's norm once let
-        # rounding error pass the norm check and crash the run
-        rep = run_full_algorithm(Semiprime(8191), mode="honest",
-                                 seed=9045414)
-        assert rep.factors is None
+    @pytest.mark.parametrize("n", [8191, 65537, 1048573])
+    def test_prime_rejected(self, n):
+        # checked before any base is drawn: 64 attempts on 2**20 - 3
+        # once took a minute and found nothing
+        with pytest.raises(DomainError, match=f"{n} is prime"):
+            run_full_algorithm(Semiprime(n), mode="honest", seed=0)
+
+    @pytest.mark.parametrize("n,root,k", [
+        (1331, 11, 3), (357911, 71, 3), (243, 3, 5), (3**12, 3**6, 2),
+        (15**3, 15, 3),
+    ])
+    def test_perfect_power_rejected(self, n, root, k):
+        with pytest.raises(DomainError, match=rf"{n} = {root}\*\*{k} is "
+                           f"a perfect {'square' if k == 2 else 'power'}"):
+            run_full_algorithm(Semiprime(n), mode="honest", seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_composite_part_rejected(self, seed):
+        # 105 = 3*5*7 passes the pre-steps; seed 0's first base shares
+        # the factor 3 with it (gcd shortcut) and seed 1's has period 6,
+        # and both split it as 3 x 35
+        with pytest.raises(DomainError,
+                           match="105 splits as 3 x 35, but 35 is composite"):
+            run_full_algorithm(Semiprime(105), mode="honest", seed=seed)
 
     def test_deterministic_per_seed(self):
         a = run_full_algorithm(Semiprime(15), mode="honest", seed=9)
@@ -484,7 +508,7 @@ class TestAttemptRecord:
 
 class TestPeriodCandidate:
     def test_direct_means_unit_multiplier(self):
-        c = PeriodCandidate(4, Convergent(1, 4), 1, True)
+        c = PeriodCandidate(4, Convergent(1, 4), 1)
         assert c.direct
-        c2 = PeriodCandidate(4, Convergent(1, 2), 2, True)
+        c2 = PeriodCandidate(4, Convergent(1, 2), 2)
         assert not c2.direct
