@@ -48,9 +48,10 @@ if TYPE_CHECKING:
 # guard, since the oracle's cost is two 2**s-point FFTs whatever r is.
 # The cell cap bounds the 2**s * r cells of one branch enumeration and
 # is a time budget: the kernel holds one chunk of columns at a time, so
-# memory no longer binds. At the cap, output_distribution took 0.12 s
-# at 35 MiB peak RSS for (a, n, s) = (2, 65519, 10), and 0.35-0.46 s at
-# 77 MiB for s = 20, r = 32, its slowest shape (2-CPU Intel Xeon,
+# memory no longer binds. At the cap, output_distribution took
+# 0.07-0.09 s at 35 MiB peak RSS for (a, n, s) = (2, 65519, 10), and
+# 0.22-0.30 s at 70 MiB peak RSS and a 38 MiB tracemalloc peak for
+# (19, 97, 20), r = 32, its slowest shape (2-CPU Intel Xeon,
 # Python 3.11, numpy 2.4).
 MAX_DIST_READOUT_BITS = 20
 MAX_DIST_CELLS = 1 << 25
@@ -209,6 +210,26 @@ def output_distribution(circuit: Circuit) -> OutcomeDistribution:
     return OutcomeDistribution(probs)
 
 
+def _add_comb_power(probs: np.ndarray, step: int, teeth: int,
+                    groups: int) -> None:
+    """Add groups * |FFT|**2 of `teeth` ones, `step` apart, to probs.
+
+    Each array is dropped once used, and the power is added by slices,
+    so no more than three len(probs)-point arrays are held at once.
+    """
+    import numpy as np
+
+    comb = np.zeros(probs.size, dtype=np.float64)
+    comb[:teeth * step:step] = 1.0
+    half = np.fft.rfft(comb)
+    del comb
+    power = half.real ** 2 + half.imag ** 2
+    power *= groups
+    # the comb is real: its spectrum at S - y mirrors the one at y
+    probs[:power.size] += power
+    probs[power.size:] += power[-2:0:-1]
+
+
 def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
     """Reference distribution from the non-recycled construction.
 
@@ -235,14 +256,8 @@ def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
     probs = np.zeros(big_s, dtype=np.float64)
     for groups, size in ((longer, teeth + 1),
                          (min(r, big_s) - longer, teeth)):
-        if groups == 0:
-            continue
-        comb = np.zeros(big_s, dtype=np.float64)
-        comb[:size * r:r] = 1.0
-        # the comb is real: its spectrum at S - y mirrors the one at y
-        half = np.fft.rfft(comb)
-        power = half.real ** 2 + half.imag ** 2
-        probs += groups * np.concatenate((power, power[-2:0:-1]))
+        if groups:
+            _add_comb_power(probs, r, size, groups)
     probs /= float(big_s) ** 2
     return OutcomeDistribution(probs)
 

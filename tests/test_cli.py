@@ -191,6 +191,15 @@ class TestDist:
         payload = json.loads(out)
         assert payload["probabilities"] == {"0": 0.5, "1": 0.5}
 
+    def test_compiled_prints_exact_halves(self, capsys):
+        # s = 1 folds its one stage; 0.5 and 0.5 come out exact
+        code, out, _ = run_cli(capsys, "dist", "--kind", "compiled",
+                               "--p", "3", "--q", "5")
+        assert code == 0
+        assert out == ('{\n  "num_outcomes": 2,\n  "num_readout_bits": 1,\n'
+                       '  "probabilities": {\n    "0": 0.5,\n    "1": 0.5\n'
+                       '  }\n}\n')
+
     def test_compiled_large_modulus_is_unbiased(self, capsys):
         # two work values, so two cells, whatever the size of p*q
         code, out, _ = run_cli(capsys, "dist", "--kind", "compiled",

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shorsim import _kernels
 from shorsim.compiler import (
     build_compiled_circuit,
     build_semiclassical_stages,
@@ -181,10 +182,12 @@ class TestStagedDistribution:
         assert abs(rho[1, 1].real - last_bit_set) < 1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("a,n,s", [(2, 7, 3), (2, 31, 4), (2, 337, 6)])
+    @pytest.mark.parametrize("a,n,s", [(2, 7, 2), (2, 7, 3), (2, 31, 3),
+                                       (2, 31, 4), (2, 337, 6)])
     def test_density_matches_exponent_basis_loop(self, a, n, s):
         # odd periods 3, 5, 21 keep the control coherent; this pins the
-        # sign of rho[0,1], which no probability can see
+        # sign of rho[0,1], which no probability can see. At s = 2 and
+        # 3 the kernel stores at most one stage and folds the rest
         circuit = build_semiclassical_stages(a, n, s)
         rho = control_reduced_density(circuit)
         reference = exponent_basis_density(circuit)
@@ -194,6 +197,125 @@ class TestStagedDistribution:
     def test_distribution_sums_to_one(self):
         dist = output_distribution(build_semiclassical_stages(2, 33, 9))
         assert abs(float(dist.as_array().sum()) - 1.0) < 1e-12
+
+
+# (a, n) with the order r of a mod n
+ORDER_BASES = {1: (1, 15), 2: (11, 15), 4: (7, 15), 10: (2, 33),
+               32759: (2, 65519)}
+
+
+def _chunks(circuit):
+    """Column chunks the kernel takes for a circuit, from CHUNK_CELLS."""
+    s = circuit.num_readout_bits
+    branches = 1 << (s - min(_kernels.FOLD_STAGES, s))
+    chunk = max(1, _kernels.CHUNK_CELLS // branches)
+    return -(-circuit.work_register_span // chunk)
+
+
+class TestFoldedStages:
+    """The last readout stages are folded into moments over the columns
+    and unfolded once per prefix; short circuits fold every stage."""
+
+    @pytest.mark.parametrize("r", sorted(ORDER_BASES))
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_short_circuits_match_oracle(self, s, r):
+        a, n = ORDER_BASES[r]
+        circuit = build_semiclassical_stages(a, n, s)
+        assert circuit.work_register_span == r
+        dist = output_distribution(circuit)
+        assert total_variation(dist, dft_oracle_distribution(a, n, s)) < 1e-9
+
+    @pytest.mark.parametrize("cells", [1, None])
+    def test_zeros_off_the_comb_stay_exact(self, monkeypatch, cells):
+        # r = 4 divides 2**18; one cell per chunk forces one-column
+        # chunks, whose moments are outer products
+        if cells is not None:
+            monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
+        dist = output_distribution(build_semiclassical_stages(8, 15, 18))
+        assert dist.support() == list(range(0, 1 << 18, 1 << 16))
+        assert np.abs(dist.as_array()[::1 << 16] - 0.25).max() < 1e-12
+
+    @pytest.mark.parametrize("a,n,s", [(2, 33, 9), (16, 337, 10),
+                                       (2, 65519, 4)])
+    def test_chunk_width_does_not_matter(self, monkeypatch, a, n, s):
+        circuit = build_semiclassical_stages(a, n, s)
+        default = output_distribution(circuit).as_array()
+        density = control_reduced_density(circuit)
+        # chunks of one column, then of three
+        for cells in (1, 3 << (s - 2)):
+            monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
+            got = output_distribution(circuit).as_array()
+            assert np.abs(got - default).max() < 1e-15
+            assert np.array_equal(got > 0, default > 0)
+            np.testing.assert_allclose(control_reduced_density(circuit),
+                                       density, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_feedback_table_is_the_unit_circle(self, s):
+        table_cos, table_sin = _kernels._feedback_table(s)
+        angles = 2 * np.pi * np.arange(1 << (s - 1)) / (1 << s)
+        assert np.abs(table_cos - np.cos(angles)).max() < 1e-15
+        assert np.abs(table_sin - np.sin(angles)).max() < 1e-15
+        assert table_sin[0] == 0.0
+        if s > 1:
+            assert (table_cos[1 << (s - 2)], table_sin[1 << (s - 2)]) \
+                == (0.0, 1.0)
+
+    @pytest.mark.parametrize("a,n,s,cells", [(2, 65519, 8, None),
+                                             (7, 15, 8, None),
+                                             (2, 33, 9, 1)])
+    def test_branch_states_run_once_per_chunk(self, monkeypatch, a, n, s,
+                                              cells):
+        # the benchmark's tracer wraps the module attribute, so the
+        # kernel must reach branch_states_numpy through it
+        if cells is not None:
+            monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
+        circuit = build_semiclassical_stages(a, n, s)
+        want = output_distribution(circuit).as_array()
+        calls = []
+        original = _kernels.branch_states_numpy
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "branch_states_numpy", counted)
+        got = output_distribution(circuit).as_array()
+        assert len(calls) == _chunks(circuit) > 0
+        assert sum(calls) == circuit.work_register_span
+        assert np.array_equal(got, want)
+        control_reduced_density(circuit)
+        assert len(calls) == 2 * _chunks(circuit)
+
+
+class TestExactMemory:
+    """tracemalloc peaks of the exact routes at s = 20, r = 4, the
+    benchmark's largest branch tree."""
+
+    @staticmethod
+    def _peak_mib(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / 2 ** 20
+
+    def test_output_distribution(self):
+        # 38 MiB measured: 18 MiB of moments, the 12 MiB the first
+        # unfold makes of them and the 8 MiB feedback table
+        circuit = build_semiclassical_stages(8, 15, 20)
+        assert self._peak_mib(lambda: output_distribution(circuit)) < 40
+
+    def test_control_reduced_density(self):
+        circuit = build_semiclassical_stages(8, 15, 20)
+        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 40
+
+    def test_oracle(self):
+        # 24 MiB measured: the output, one comb and its half spectrum
+        assert self._peak_mib(lambda: dft_oracle_distribution(8, 15, 20)) < 26
 
 
 class TestRunCircuit:
