@@ -1,10 +1,10 @@
 """Factoring-demonstration toolkit.
 
 Honest state-vector simulation of period finding with a recycled
-readout qubit for small moduli, the compiled two-qubit shortcut for
-arbitrarily large ones, the coin-toss reduction of that shortcut, and
-reporting that always states the size of the period actually found
-next to the size of the modulus.
+readout qubit wherever the period is short, the compiled two-qubit
+shortcut for arbitrarily large moduli, the coin-toss reduction of that
+shortcut, and reporting that always states the size of the period
+actually found next to the size of the modulus.
 """
 
 from .coinlab import (

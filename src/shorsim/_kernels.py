@@ -234,22 +234,21 @@ def _unfolded_moments(
 
 def last_stage_sums(
     shifts: Sequence[int], span: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the last stage needs, per prefix b of the first s-1 bits.
+) -> tuple[float, float, float]:
+    """What the control qubit holds before the last measurement.
 
-    Returns (total, cos_sum, sin_sum), each float64[2**(s-1)]: the sum
-    over columns of b's weight, and of that weight times cos theta_s
-    and sin theta_s, with the 1/r and the 1/2 of each earlier stage
-    applied. Readout b has probability (total + cos_sum)/2 and readout
-    b + 2**(s-1) has (total - cos_sum)/2; the control qubit's reduced
-    density before the last measurement follows from the same sums.
+    Returns (total, cos_sum, sin_sum): the sum over every prefix b of
+    the first s-1 bits and every column of b's weight, and of that
+    weight times cos theta_s and sin theta_s, with the 1/r and the 1/2
+    of each earlier stage applied. The last bit reads 0 with
+    probability (total + cos_sum)/2 and 1 with (total - cos_sum)/2.
     """
     (total, along_cos, along_sin), feedback = _unfolded_moments(
         shifts, span, len(shifts) - 1)
     beta_cos, beta_sin = feedback[-1]
-    return (total,
-            beta_cos * along_cos + beta_sin * along_sin,
-            beta_cos * along_sin - beta_sin * along_cos)
+    return (float(total.sum()),
+            float(beta_cos @ along_cos + beta_sin @ along_sin),
+            float(beta_cos @ along_sin - beta_sin @ along_cos))
 
 
 def branch_probabilities(shifts: Sequence[int], span: int) -> np.ndarray:

@@ -223,9 +223,9 @@ def _cmd_verify_supplementary(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shorsim",
-        description="Factoring-demonstration toolkit: honest small-modulus "
-                    "simulation, the compiled shortcut, and the coin toss "
-                    "it reduces to.",
+        description="Factoring-demonstration toolkit: honest simulation "
+                    "of short periods, the compiled shortcut, and the coin "
+                    "toss it reduces to.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -27,6 +27,7 @@ from .compiler import (
 )
 from .errors import DomainError, RefusedTooLargeError
 from .numtheory import (
+    AUTO_PRIMALITY_BIT_LIMIT,
     Convergent,
     Semiprime,
     continued_fraction_convergents,
@@ -40,10 +41,6 @@ from .numtheory import (
 MAX_PERIOD_MULTIPLIER = 4
 
 DEFAULT_MAX_ATTEMPTS = 64
-
-# Honest mode simulates the base's full residue cycle, so the modulus is
-# capped where the work register would stop fitting.
-HONEST_MODULUS_LIMIT = 1 << 20
 
 MODE_HONEST = "honest-random-base"
 MODE_COMPILED = "compiled-crt"
@@ -336,14 +333,17 @@ def run_full_algorithm(
     """The whole loop: pick a base, run the circuit, recover the period,
     derive factors, retry on dead ends.
 
-    Honest mode refuses a prime or perfect-power n, draws bases
-    uniformly from [2, n-2], simulates the staged circuit with s =
-    s_override or default_s(n), and refuses a split with a composite
-    part. Compiled mode uses the CRT period-2 base (factors
-    required) and the one-stage circuit. Coin mode hands off to the
-    coin-toss reduction with max_attempts tosses. Deterministic per
-    seed; exhausting max_attempts yields a report with factors = None
-    rather than an exception.
+    Honest mode refuses an n above AUTO_PRIMALITY_BIT_LIMIT bits and
+    a prime or perfect-power n, draws bases uniformly from [2, n-2],
+    simulates the staged circuit with s = s_override or default_s(n),
+    and refuses a split with a composite part. Its only quantum size
+    guard is the period: a base whose order exceeds MAX_WORK_SPAN ends
+    the run with RefusedTooLargeError, whatever the size of n.
+    Compiled mode uses the CRT period-2 base (factors required) and
+    the one-stage circuit. Coin mode hands off to the coin-toss
+    reduction with max_attempts tosses. Deterministic per seed;
+    exhausting max_attempts yields a report with factors = None rather
+    than an exception.
     """
     mode = canonical_mode(mode)
     n = sp.n
@@ -364,10 +364,13 @@ def run_full_algorithm(
     if mode == MODE_COMPILED:
         base = find_period2_base(sp)
     else:
-        if n >= HONEST_MODULUS_LIMIT:
+        # the quantum size guard is work_orbit's, on each base's period;
+        # this one bounds the pre-steps, whose cost grows with n
+        if n.bit_length() > AUTO_PRIMALITY_BIT_LIMIT:
             raise RefusedTooLargeError(
-                f"honest mode simulates the full residue cycle and refuses "
-                f"moduli at or above {HONEST_MODULUS_LIMIT}"
+                f"honest mode refuses a {n.bit_length()}-bit modulus: its "
+                f"classical pre-steps are bounded at "
+                f"{AUTO_PRIMALITY_BIT_LIMIT} bits"
             )
         # Shor's classical pre-steps: a prime has nothing to split and a
         # perfect power is no product of two distinct primes, so neither

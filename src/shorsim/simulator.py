@@ -85,10 +85,10 @@ class OutcomeDistribution:
         probs = np.asarray(probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("need a nonempty 1-d probability vector")
-        if float(probs.min()) < -NORM_TOLERANCE:
-            raise SimulationError("negative probability encountered")
+        if not float(probs.min()) >= -NORM_TOLERANCE:  # NaN fails too
+            raise SimulationError("negative or NaN probability encountered")
         total = float(probs.sum())
-        if abs(total - 1.0) > NORM_TOLERANCE:
+        if not abs(total - 1.0) <= NORM_TOLERANCE:
             raise SimulationError(
                 f"probabilities sum to {total}, expected 1"
             )
@@ -156,14 +156,15 @@ def run_circuit(circuit: Circuit,
         pre[1, :shift] = pre[0, r - shift:]
         phase = 0.0
         if stage > 1:
-            # feedback angle from the bits measured so far: -2*pi*P/2**k
-            phase = -2.0 * np.pi * prefix / float(1 << stage)
+            # feedback angle from the bits measured so far: -2*pi*P/2**k,
+            # P/2**k rounded once, so no k overflows a float
+            phase = -2.0 * np.pi * (prefix / (1 << stage))
             pre[1] *= np.exp(1j * phase)
         np.add(pre[0], pre[1], out=post[0])
         np.subtract(pre[0], pre[1], out=post[1])
         np.multiply(post_parts, _INV_SQRT2, out=post_parts)
         total = float(np.vdot(post, post).real)
-        if abs(total - 1.0) > NORM_TOLERANCE:
+        if not abs(total - 1.0) <= NORM_TOLERANCE:  # NaN fails too
             raise SimulationError(f"state norm drifted to {total}")
         p1 = float(np.vdot(post[1], post[1]).real)
         outcome = 1 if rng.random() < p1 else 0
@@ -275,9 +276,5 @@ def control_reduced_density(circuit: Circuit) -> np.ndarray:
     _check_enumeration_guards(circuit)
     total, cos_sum, sin_sum = _kernels.last_stage_sums(
         circuit.stage_shifts, circuit.work_register_span)
-    rho = np.empty((2, 2), dtype=np.complex128)
-    rho[0, 0] = 0.5 * float(np.sum(total + cos_sum))
-    rho[1, 1] = 0.5 * float(np.sum(total - cos_sum))
-    rho[0, 1] = 0.5j * float(np.sum(sin_sum))
-    rho[1, 0] = np.conj(rho[0, 1])
-    return rho
+    return np.array([[0.5 * (total + cos_sum), 0.5j * sin_sum],
+                     [-0.5j * sin_sum, 0.5 * (total - cos_sum)]])

@@ -279,11 +279,19 @@ class TestFactor:
         assert payload["mode"] == "coin"
         assert payload["factors"] == ["3", "5"]
 
-    def test_honest_modulus_guard(self, capsys):
-        n = str((1 << 20) + 1)
-        code, _, err = run_cli(capsys, "factor", "--n", n, "--mode", "honest")
+    def test_honest_orbit_guard(self, capsys):
+        # 65537 x 274177: lambda = 70189056, and seed 0's first base
+        # has an order above 2**20
+        code, out, err = run_cli(capsys, "factor", "--n", "17968738049",
+                                 "--mode", "honest", "--seed", "0")
         assert code == 4
-        assert json.loads(err)["error"]["type"] == "RefusedTooLargeError"
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "RefusedTooLargeError"
+        assert error["message"] == (
+            "work register span of a = 16511666127 mod n = 17968738049 "
+            "exceeds 1048576"
+        )
 
     def test_honest_perfect_square_rejected(self, capsys):
         code, out, err = run_cli(capsys, "factor", "--n", "44521")

@@ -8,6 +8,7 @@ on aggregate success rates.
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from shorsim.errors import DomainError, RefusedTooLargeError
 from shorsim.fixtures import load_fixture
 from shorsim.numtheory import Convergent, Semiprime
 from shorsim.postprocess import (
-    HONEST_MODULUS_LIMIT,
     MAX_PERIOD_MULTIPLIER,
     MODE_COIN,
     MODE_COMPILED,
@@ -316,10 +316,27 @@ class TestRunFullHonest:
         with pytest.raises(DomainError):
             run_full_algorithm(Semiprime(16), mode="honest", seed=0)
 
-    def test_modulus_guard(self):
-        with pytest.raises(RefusedTooLargeError):
-            run_full_algorithm(Semiprime(HONEST_MODULUS_LIMIT + 1),
-                               mode="honest", seed=0)
+    def test_pre_step_bit_limit(self):
+        # a Miller-Rabin round and the perfect-power search on this
+        # 20000-bit n take about a minute together; the refusal comes
+        # before them
+        n = load_fixture("n20000").n
+        start = time.perf_counter()
+        with pytest.raises(RefusedTooLargeError,
+                           match=f"{n.bit_length()}-bit modulus.* 2048 bits"):
+            run_full_algorithm(Semiprime(n), mode="honest", seed=0)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("p,q,seed,period", [
+        (17, 61681, 2, 61680),  # 2**20 + 1
+        (65537, 786433, 3, 262144),  # 36 bits, lambda = 786432
+    ])
+    def test_modulus_above_2_20_factors(self, p, q, seed, period):
+        # the size that matters is the period's, and these are short
+        rep = run_full_algorithm(Semiprime(p * q), mode="honest", seed=seed)
+        assert rep.factors == (p, q)
+        assert rep.period_found == period
+        assert f"{period.bit_length()}-bit period" in rep.honesty_note
 
     def test_zero_attempts_rejected(self):
         with pytest.raises(DomainError):

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shorsim import _kernels
+from shorsim import _kernels, simulator
 from shorsim.compiler import (
     build_compiled_circuit,
     build_semiclassical_stages,
@@ -82,6 +82,10 @@ class TestOutcomeDistribution:
         assert dist[2] == 0.75
         assert dist.support() == [0, 2]
         assert dist.as_dict() == {0: 0.25, 2: 0.75}
+
+    def test_rejects_nan(self):
+        with pytest.raises(SimulationError):
+            OutcomeDistribution(np.array([np.nan, 0.5]))
 
     def test_total_variation_requires_same_size(self):
         d1 = OutcomeDistribution(np.array([0.5, 0.5]))
@@ -343,6 +347,22 @@ class TestRunCircuit:
         circuit = build_semiclassical_stages(7, 15, 4)
         _, stages = run_circuit(circuit, 3)
         assert stages[0].phase == 0.0
+
+    @pytest.mark.parametrize("s", [1023, 1100])
+    def test_long_readout_keeps_the_odds_finite(self, s):
+        # 2.0**1024 overflows a float, and so did the feedback angle's
+        # numerator from stage 1023 on
+        circuit = build_semiclassical_stages(2, 337, s)
+        for seed in (1, 2, 4):
+            y, stages = run_circuit(circuit, seed)
+            assert len(stages) == s and 0 <= y < 1 << s
+            assert all(math.isfinite(rec.p_one) and math.isfinite(rec.phase)
+                       for rec in stages)
+
+    def test_nan_state_fails_the_norm_check(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_INV_SQRT2", float("nan"))
+        with pytest.raises(SimulationError, match="norm drifted to nan"):
+            run_circuit(build_semiclassical_stages(7, 15, 4), 0)
 
     def test_unlikely_outcomes_keep_the_state_normalised(self):
         # the (base, run seed) pairs an honest run of the prime 8191
