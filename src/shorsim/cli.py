@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fixtures import load_fixture, verify_fixture
 from .numtheory import Semiprime, parse_decimal, to_decimal
-from .postprocess import run_full_algorithm
+from .postprocess import DEFAULT_MAX_ATTEMPTS, run_full_algorithm
 from .simulator import output_distribution, run_circuit
 
 _JSON_KW = {"indent": 2, "sort_keys": True}
@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="honest")
     p_factor.add_argument("--s", type=int, default=None)
     p_factor.add_argument("--seed", type=int, default=0)
-    p_factor.add_argument("--max-attempts", type=int, default=64)
+    p_factor.add_argument("--max-attempts", type=int,
+                          default=DEFAULT_MAX_ATTEMPTS)
     p_factor.add_argument("--format", choices=("json", "text"),
                           default="json")
     p_factor.set_defaults(handler=_cmd_factor)

@@ -1,32 +1,22 @@
-"""Coin-toss reduction of the compiled circuit.
+"""Toss statistics for the coin-toss reduction of the compiled circuit.
 
 The compiled two-qubit circuit's readout is an unbiased bit, so a fair
 coin is a drop-in replacement: heads plays y = 1 (period recovered),
-tails plays y = 0 (try again). This module runs that replacement,
-collects the toss statistics with one-sigma binomial error bars, and
-provides the chi-square helpers the statistical checks lean on.
+tails plays y = 0 (try again). The replacement runs inside
+postprocess.run_full_algorithm as its coin mode; this module counts a
+toss series with one-sigma binomial error bars and provides the
+chi-square helpers the statistical checks lean on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Sequence
 
-from .compiler import find_period2_base, zalka_qubit_count
 from .errors import DomainError
 from .numtheory import Semiprime, to_decimal
-from .postprocess import (
-    MODE_COIN,
-    AttemptRecord,
-    FactorReport,
-    derive_factors,
-)
-
-# numpy is imported inside the functions that use it, so a process
-# that simulates nothing never loads it.
-if TYPE_CHECKING:
-    import numpy as np
+from .postprocess import FactorReport, run_full_algorithm
 
 # chi-square critical value, 1 degree of freedom, significance 0.001
 CHI2_1DOF_P999 = 10.8276
@@ -72,80 +62,29 @@ class CoinRun:
         }
 
 
-def _toss_bits(n_tosses: int, seed: int) -> np.ndarray:
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.random(n_tosses) < 0.5
-
-
 def coin_factor_demo(sp: Semiprime, n_tosses: int,
                      seed: int) -> tuple[CoinRun, FactorReport]:
     """Factor a semiprime with a coin.
 
-    Tosses the full series up front and returns its counts as a
-    CoinRun, then consumes tosses in order: the first heads is read as
-    y = 1 from the compiled circuit, giving period 2 and the factors
-    via the CRT base. All tails means no period this series.
-    Requires known factors, exactly like the compiled pipeline it
-    shadows.
+    The report is run_full_algorithm's coin mode with n_tosses
+    attempts: the first heads is read as y = 1 from the compiled
+    circuit, giving period 2 and the factors via the CRT base, and all
+    tails means no period this series. The CoinRun counts the whole
+    series of n_tosses from the same seeded stream, tosses after the
+    first heads included. Requires known factors, exactly like the
+    compiled pipeline it shadows.
     """
     if n_tosses < 1:
         raise DomainError("a coin run needs at least one toss")
-    base = find_period2_base(sp)
-    n = sp.n
-    n_bits = n.bit_length()
-    label = to_decimal(n) if n_bits <= 64 else f"{n_bits}-bit semiprime"
-    bits = _toss_bits(n_tosses, seed)
-    run = CoinRun(label, n_tosses, int(bits.sum()))
+    report = run_full_algorithm(sp, mode="coin", seed=seed,
+                                max_attempts=n_tosses)
+    n_bits = sp.n.bit_length()
+    label = to_decimal(sp.n) if n_bits <= 64 else f"{n_bits}-bit semiprime"
+    # imported here, so a process that tosses nothing never loads numpy
+    import numpy as np
 
-    first_head: Optional[int] = None
-    for i, b in enumerate(bits):
-        if b:
-            first_head = i + 1
-            break
-
-    details = []
-    consumed = first_head if first_head is not None else n_tosses
-    for i in range(consumed):
-        heads = bool(bits[i])
-        details.append(AttemptRecord(
-            index=i + 1,
-            base=base.a,
-            gcd_shortcut=False,
-            y=1 if heads else 0,
-            period=2 if heads else None,
-            multiplier=1 if heads else None,
-            outcome="factored" if heads else "no-period",
-        ))
-
-    budget = zalka_qubit_count(n)
-    if first_head is not None:
-        factors = derive_factors(base.a, 2, n)
-        assert factors is not None
-        note = (
-            f"period found by coin toss: r = 2 (2 bits) against a "
-            f"{n_bits}-bit modulus; a fair coin replaced the circuit, "
-            f"and their outcome distributions are identical"
-        )
-        report = FactorReport(
-            n=n, factors=factors, base_used=base.a, period_found=2,
-            attempts=first_head, mode=MODE_COIN, qubit_budget=budget,
-            seed=seed, honesty_note=note, gcd_shortcut=False,
-            attempt_details=tuple(details),
-        )
-    else:
-        note = (
-            f"no heads in {n_tosses} tosses, so no period this series; "
-            f"the {n_bits}-bit modulus remains intact"
-        )
-        report = FactorReport(
-            n=n, factors=None, base_used=base.a, period_found=None,
-            attempts=n_tosses, mode=MODE_COIN, qubit_budget=budget,
-            seed=seed, honesty_note=note, gcd_shortcut=False,
-            attempt_details=tuple(details),
-        )
-    return run, report
+    tosses = np.random.Generator(np.random.PCG64(seed)).random(n_tosses)
+    return CoinRun(label, n_tosses, int((tosses < 0.5).sum())), report
 
 
 def chi_square_heads_tails(heads: int, tosses: int) -> float:

@@ -39,7 +39,12 @@ from .errors import (
     NotCompilableError,
     RefusedTooLargeError,
 )
-from .numtheory import Semiprime, parse_decimal, to_decimal
+from .numtheory import (
+    AUTO_PRIMALITY_BIT_LIMIT,
+    Semiprime,
+    parse_decimal,
+    to_decimal,
+)
 
 # A shot holds four complex r-vectors, 64 B per exponent column, so
 # this caps its memory, and the order search refuses past it. At
@@ -47,6 +52,11 @@ from .numtheory import Semiprime, parse_decimal, to_decimal
 # RSS in a process that stood at 28 MiB before it (1.0-1.5 s; 2-CPU
 # Intel Xeon, Python 3.11, numpy 2.4).
 MAX_WORK_SPAN = 1 << 20
+
+# Readout stages a circuit may have: default_s of the largest modulus
+# honest mode accepts. Each stage costs a shot time and memory, so
+# more are refused before the orbit is walked.
+MAX_READOUT_STAGES = 2 * AUTO_PRIMALITY_BIT_LIMIT
 
 # Baby steps of the order search: a**0 ... a**255 are walked and kept,
 # then at most MAX_WORK_SPAN // 256 giant steps of a**256 look them up.
@@ -132,7 +142,8 @@ class Circuit:
     the next. work_register_span is r, the order of a: the length of
     the orbit of residue 1 under a, found once, here, by work_orbit's
     bounded baby-step giant-step search, and the number of columns the
-    simulator allocates. The orbit's values are not kept.
+    simulator allocates. The orbit's values are not kept. More than
+    MAX_READOUT_STAGES stages are refused before the orbit is walked.
     """
 
     modulus: int
@@ -143,6 +154,11 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.num_readout_bits < 1:
             raise CircuitFormatError("a circuit needs at least one stage")
+        if self.num_readout_bits > MAX_READOUT_STAGES:
+            raise RefusedTooLargeError(
+                f"s = {self.num_readout_bits} readout stages exceeds the "
+                f"limit of {MAX_READOUT_STAGES} stages"
+            )
         if self.modulus < 2:
             raise CircuitFormatError("modulus must be >= 2")
         if not 1 <= self.base < self.modulus:

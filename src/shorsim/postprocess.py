@@ -2,8 +2,9 @@
 
 Base selection with the gcd shortcut, period recovery from a measured
 readout via continued fractions, factor derivation (including the
-perfect-square rescue for odd periods), and the retry loop that turns
-all of it into a FactorReport. Every report carries a plainly worded
+perfect-square rescue for odd periods), and the one retry loop of the
+honest, compiled and coin modes that turns all of it into a
+FactorReport. Every report carries a plainly worded
 note comparing the bit length of the period actually found against the
 bit length of the modulus; for the compiled path those two numbers tell
 the whole story.
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .compiler import (
-    CompiledBase,
     QubitBudget,
     build_compiled_circuit,
     build_semiclassical_stages,
@@ -323,6 +323,25 @@ def _perfect_power(n: int) -> Optional[tuple[int, int]]:
     return None
 
 
+def _report_note(mode: str, n: int, period: Optional[int],
+                 gcd_shortcut: bool, attempts: int) -> str:
+    """The honesty line of a report; coin runs word it as tosses."""
+    if mode != MODE_COIN:
+        return compose_honesty_note(n, period, gcd_shortcut)
+    n_bits = n.bit_length()
+    if period is None:
+        return (
+            f"no heads in {attempts} tosses, so no period this series; "
+            f"the {n_bits}-bit modulus remains intact"
+        )
+    return (
+        f"period found by coin toss: r = {period} "
+        f"({period.bit_length()} bits) against a {n_bits}-bit modulus; "
+        f"a fair coin replaced the circuit, and their outcome "
+        f"distributions are identical"
+    )
+
+
 def run_full_algorithm(
     sp: Semiprime,
     mode: str = "honest",
@@ -339,11 +358,12 @@ def run_full_algorithm(
     and refuses a split with a composite part. Its only quantum size
     guard is the period: a base whose order exceeds MAX_WORK_SPAN ends
     the run with RefusedTooLargeError, whatever the size of n.
-    Compiled mode uses the CRT period-2 base (factors required) and
-    the one-stage circuit. Coin mode hands off to the coin-toss
-    reduction with max_attempts tosses. Deterministic per seed;
-    exhausting max_attempts yields a report with factors = None rather
-    than an exception.
+    Compiled and coin modes build the one-stage circuit of the CRT
+    period-2 base once (factors required, s_override refused).
+    Compiled mode simulates it; coin mode reads y = 1 on heads of a
+    PCG64 coin seeded with seed. Deterministic per seed; exhausting
+    max_attempts yields a report with factors = None rather than an
+    exception.
     """
     mode = canonical_mode(mode)
     n = sp.n
@@ -352,18 +372,7 @@ def run_full_algorithm(
     if max_attempts < 1:
         raise DomainError("need at least one attempt")
 
-    if mode == MODE_COIN:
-        from .coinlab import coin_factor_demo  # deferred: coinlab imports us
-        _, report = coin_factor_demo(sp, n_tosses=max_attempts, seed=seed)
-        return report
-
-    budget = zalka_qubit_count(n)
-    master = random.Random(seed)
-    base: Optional[CompiledBase] = None
-    s = s_override
-    if mode == MODE_COMPILED:
-        base = find_period2_base(sp)
-    else:
+    if mode == MODE_HONEST:
         # the quantum size guard is work_orbit's, on each base's period;
         # this one bounds the pre-steps, whose cost grows with n
         if n.bit_length() > AUTO_PRIMALITY_BIT_LIMIT:
@@ -385,77 +394,67 @@ def run_full_algorithm(
                 f"{'square' if k == 2 else 'power'}, never a product of "
                 f"two distinct primes"
             )
-        if s is None:
-            s = default_s(n)
+        s = default_s(n) if s_override is None else s_override
+    else:
+        if s_override is not None:
+            raise DomainError(
+                "--s (s_override) applies to honest mode only; compiled "
+                "and coin runs read one stage"
+            )
+        circuit = build_compiled_circuit(find_period2_base(sp))
+        a = circuit.base
 
     # Imported here: simulator pulls in the kernels, and postprocess is
     # importable without them for the purely classical helpers.
     from .simulator import run_circuit
 
+    if mode == MODE_COIN:
+        import numpy as np
+        coin = np.random.Generator(np.random.PCG64(seed))
+    else:
+        master = random.Random(seed)
     details: list[AttemptRecord] = []
-    last_base = 0
+    factors = period = None
+    shortcut = False
     for attempt in range(1, max_attempts + 1):
-        if mode == MODE_COMPILED:
-            assert base is not None
-            a = base.a
-            circuit = build_compiled_circuit(base)
-            s_eff = 1
-        else:
+        if mode == MODE_HONEST:
             a = master.randrange(2, n - 1)
-            shortcut = math.gcd(a, n)
-            if shortcut > 1:
-                factors = _prime_split(shortcut, n)
+            g = math.gcd(a, n)
+            if g > 1:
+                shortcut, factors = True, _prime_split(g, n)
                 details.append(AttemptRecord(
                     index=attempt, base=a, gcd_shortcut=True, y=None,
                     period=None, multiplier=None, outcome="gcd-shortcut",
                 ))
-                return FactorReport(
-                    n=n, factors=factors, base_used=a, period_found=None,
-                    attempts=attempt, mode=mode, qubit_budget=budget,
-                    seed=seed,
-                    honesty_note=compose_honesty_note(n, None, True),
-                    gcd_shortcut=True, attempt_details=tuple(details),
-                )
+                break
             circuit = build_semiclassical_stages(a, n, s)
-            s_eff = circuit.num_readout_bits
-        last_base = a
 
-        run_seed = master.getrandbits(63)
-        y, _ = run_circuit(circuit, run_seed)
-        candidate = extract_period(y, 1 << s_eff, a, n)
-        if candidate is None:
-            details.append(AttemptRecord(
-                index=attempt, base=a, gcd_shortcut=False, y=y,
-                period=None, multiplier=None, outcome="no-period",
-            ))
-            continue
-        factors_raw = derive_factors(a, candidate.r, n)
-        if factors_raw is None:
-            details.append(AttemptRecord(
-                index=attempt, base=a, gcd_shortcut=False, y=y,
-                period=candidate.r, multiplier=candidate.multiplier,
-                outcome="period-without-factors",
-            ))
-            continue
-        if mode == MODE_HONEST:
-            factors = _prime_split(factors_raw[0], n)
-        else:  # the CRT base splits n into its validated p and q
-            factors = _normalized_factors(factors_raw[0], n)
+        if mode == MODE_COIN:
+            y = int(coin.random() < 0.5)  # heads
+        else:
+            y, _ = run_circuit(circuit, master.getrandbits(63))
+        candidate = extract_period(y, 1 << circuit.num_readout_bits, a, n)
+        r = candidate and candidate.r
+        split = r and derive_factors(a, r, n)
+        outcome = ("factored" if split else "no-period" if r is None
+                   else "period-without-factors")
         details.append(AttemptRecord(
-            index=attempt, base=a, gcd_shortcut=False, y=y,
-            period=candidate.r, multiplier=candidate.multiplier,
-            outcome="factored",
+            index=attempt, base=a, gcd_shortcut=False, y=y, period=r,
+            multiplier=candidate and candidate.multiplier, outcome=outcome,
         ))
-        return FactorReport(
-            n=n, factors=factors, base_used=a, period_found=candidate.r,
-            attempts=attempt, mode=mode, qubit_budget=budget, seed=seed,
-            honesty_note=compose_honesty_note(n, candidate.r),
-            gcd_shortcut=False, attempt_details=tuple(details),
-        )
+        if split:
+            if mode == MODE_HONEST:
+                factors = _prime_split(split[0], n)
+            else:  # the CRT base splits n into its validated p and q
+                factors = _normalized_factors(split[0], n)
+            period = r
+            break
 
+    # max_attempts >= 1, so a is the last base tried
     return FactorReport(
-        n=n, factors=None, base_used=last_base, period_found=None,
-        attempts=max_attempts, mode=mode, qubit_budget=budget, seed=seed,
-        honesty_note=compose_honesty_note(n, None),
-        gcd_shortcut=False, attempt_details=tuple(details),
+        n=n, factors=factors, base_used=a, period_found=period,
+        attempts=len(details), mode=mode, qubit_budget=zalka_qubit_count(n),
+        seed=seed, honesty_note=_report_note(mode, n, period, shortcut,
+                                             len(details)),
+        gcd_shortcut=shortcut, attempt_details=tuple(details),
     )

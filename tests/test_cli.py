@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,20 @@ class TestCircuit:
         )
         assert code == 0
         assert out == GOLDEN_CIRCUIT_JSON
+
+    def test_too_many_readout_stages_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "circuit", "--kind",
+                                 "semiclassical", "--a", "2", "--n", "337",
+                                 "--s", "4097")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == {
+            "type": "RefusedTooLargeError",
+            "message": "s = 4097 readout stages exceeds the limit of 4096 "
+                       "stages",
+        }
+        assert elapsed < 0.1
 
     def test_compiled_without_factors_rejected(self, capsys):
         code, _, err = run_cli(capsys, "circuit", "--kind", "compiled",
@@ -279,6 +294,32 @@ class TestFactor:
         assert payload["mode"] == "coin"
         assert payload["factors"] == ["3", "5"]
 
+    @pytest.mark.parametrize("golden, argv", [
+        ("factor_p3_q5_coin_seed5_attempts10.json",
+         ["--q", "5", "--mode", "coin", "--seed", "5",
+          "--max-attempts", "10"]),
+        ("factor_p3_q5_coin_seed415_attempts10.json",  # all tails
+         ["--q", "5", "--mode", "coin", "--seed", "415",
+          "--max-attempts", "10"]),
+        ("factor_p3_q7_compiled_seed3.json",
+         ["--q", "7", "--mode", "compiled", "--seed", "3"]),
+    ], ids=["coin", "coin-all-tails", "compiled"])
+    def test_compiled_and_coin_output_is_pinned(self, capsys, golden, argv):
+        code, out, err = run_cli(capsys, "factor", "--p", "3", *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("mode", ["compiled", "coin"])
+    @pytest.mark.parametrize("s", ["0", "9"])
+    def test_s_refused_outside_honest_mode(self, capsys, mode, s):
+        code, out, err = run_cli(capsys, "factor", "--p", "3", "--q", "5",
+                                 "--mode", mode, "--s", s)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "--s (s_override) applies to honest mode only" \
+            in error["message"]
+
     def test_honest_orbit_guard(self, capsys):
         # 65537 x 274177: lambda = 70189056, and seed 0's first base
         # has an order above 2**20
@@ -325,6 +366,13 @@ class TestCoinDemo:
         assert payload["coin_run"]["heads"] == 3
         assert payload["report"]["factors"] == ["3", "5"]
         assert payload["report"]["period_found"] == 2
+
+    def test_seeded_output_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "coin-demo", "--p", "3", "--q", "5",
+                                 "--tosses", "10", "--seed", "0")
+        assert (code, err) == (0, "")
+        assert out == \
+            (GOLDEN / "coin_demo_p3_q5_tosses10_seed0.json").read_text()
 
     def test_deterministic(self, capsys):
         argv = ["coin-demo", "--p", "3", "--q", "5", "--tosses", "20",

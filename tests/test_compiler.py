@@ -345,6 +345,18 @@ class TestCircuitValidation:
             with pytest.raises(CircuitFormatError):
                 Circuit(modulus, base, s)
 
+    def test_too_many_stages_refused_before_the_orbit(self, monkeypatch):
+        assert compiler.MAX_READOUT_STAGES == 4096
+        walks = []
+        monkeypatch.setattr(compiler, "work_orbit",
+                            lambda *args: walks.append(args) or 168)
+        assert Circuit(337, 2, 4096).num_readout_bits == 4096
+        with pytest.raises(RefusedTooLargeError) as refused:
+            Circuit(337, 2, 4097)
+        assert str(refused.value) == (
+            "s = 4097 readout stages exceeds the limit of 4096 stages")
+        assert walks == [(337, 2)]
+
     def test_misnumbered_feedback_stage_rejected(self):
         lines = build_semiclassical_stages(7, 15, 3).to_text().splitlines()
         lines[10] = "VH 2"  # stage 3 slot

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from shorsim import numtheory
+from shorsim import compiler, numtheory
 from shorsim.compiler import build_semiclassical_stages
 from shorsim.errors import DomainError, RefusedTooLargeError
 from shorsim.fixtures import load_fixture
@@ -451,15 +451,29 @@ def test_each_prime_is_tested_once(monkeypatch, mode):
     assert sorted(calls) == [q, p]
 
 
-class TestRunFullCoin:
-    def test_delegates_to_coin_demo(self):
-        from shorsim.coinlab import coin_factor_demo
-        sp = Semiprime.from_factors(3, 5)
-        via_run = run_full_algorithm(sp, mode="coin", seed=5,
-                                     max_attempts=10)
-        _, via_demo = coin_factor_demo(sp, n_tosses=10, seed=5)
-        assert via_run.to_json_dict() == via_demo.to_json_dict()
-        assert via_run.mode == MODE_COIN
+@pytest.mark.parametrize("mode, seed", [("compiled", 1), ("coin", 0)])
+def test_compiled_circuit_is_built_once(monkeypatch, mode, seed):
+    # both seeds read 0 first, so the run takes more than one attempt
+    walks = []
+    original = compiler.work_orbit
+
+    def counted(modulus, multiplier):
+        walks.append(multiplier)
+        return original(modulus, multiplier)
+
+    monkeypatch.setattr(compiler, "work_orbit", counted)
+    rep = run_full_algorithm(Semiprime.from_factors(3, 5), mode=mode,
+                             seed=seed, max_attempts=3)
+    assert rep.attempts > 1 and rep.attempt_details[0].y == 0
+    assert walks == [4]
+
+
+@pytest.mark.parametrize("mode", ["compiled", "coin"])
+@pytest.mark.parametrize("s", [0, 1, 9])
+def test_s_override_is_refused_outside_honest_mode(mode, s):
+    with pytest.raises(DomainError, match="honest mode only"):
+        run_full_algorithm(Semiprime.from_factors(3, 5), mode=mode,
+                           s_override=s)
 
 
 class TestFactorReport:
