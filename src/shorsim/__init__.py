@@ -27,7 +27,6 @@ from .compiler import (
     zalka_qubit_count,
 )
 from .errors import (
-    CircuitFormatError,
     CompilationRequiresFactorsError,
     DomainError,
     NotCompilableError,
@@ -95,7 +94,6 @@ __all__ = [
     "find_period2_bases",
     "work_orbit",
     "zalka_qubit_count",
-    "CircuitFormatError",
     "CompilationRequiresFactorsError",
     "DomainError",
     "NotCompilableError",

@@ -27,12 +27,7 @@ from .compiler import (
     find_period2_bases,
     zalka_qubit_count,
 )
-from .errors import (
-    CircuitFormatError,
-    DomainError,
-    RefusedTooLargeError,
-    VerificationError,
-)
+from .errors import DomainError, RefusedTooLargeError, VerificationError
 from .fixtures import load_fixture, verify_fixture
 from .numtheory import Semiprime, parse_decimal, to_decimal
 from .postprocess import DEFAULT_MAX_ATTEMPTS, run_full_algorithm
@@ -76,13 +71,19 @@ def _semiprime_from_args(args) -> Semiprime:
 
 
 def _circuit_from_args(args):
-    if args.kind == "compiled":
-        if args.p is None or args.q is None:
-            raise DomainError("--kind compiled needs --p and --q")
+    compiled = args.kind == "compiled"
+    if compiled and (args.p is None or args.q is None):
+        raise DomainError("--kind compiled needs --p and --q")
+    if not compiled and (args.a is None or args.n is None):
+        raise DomainError("--kind semiclassical needs --a and --n")
+    stray = [f"--{name}" for name in (("a", "n", "s") if compiled
+                                      else ("p", "q"))
+             if getattr(args, name) is not None]
+    if stray:
+        raise DomainError(f"--kind {args.kind} takes no {', '.join(stray)}")
+    if compiled:
         sp = Semiprime.from_factors(_dec(args.p, "--p"), _dec(args.q, "--q"))
         return build_compiled_circuit(find_period2_base(sp))
-    if args.a is None or args.n is None:
-        raise DomainError("--kind semiclassical needs --a and --n")
     a = _dec(args.a, "--a")
     n = _dec(args.n, "--n")
     return build_semiclassical_stages(a, n, args.s)
@@ -304,7 +305,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     except VerificationError as exc:
         _emit_error(exc)
         return 3
-    except (DomainError, CircuitFormatError) as exc:
+    except DomainError as exc:
         _emit_error(exc)
         return 2
 

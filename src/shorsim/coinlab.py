@@ -83,8 +83,13 @@ def coin_factor_demo(sp: Semiprime, n_tosses: int,
     # imported here, so a process that tosses nothing never loads numpy
     import numpy as np
 
-    tosses = np.random.Generator(np.random.PCG64(seed)).random(n_tosses)
-    return CoinRun(label, n_tosses, int((tosses < 0.5).sum())), report
+    # counted in blocks: the same stream as one draw, in memory that
+    # does not grow with n_tosses
+    rng = np.random.Generator(np.random.PCG64(seed))
+    heads, block = 0, 1 << 16
+    for start in range(0, n_tosses, block):
+        heads += int((rng.random(min(block, n_tosses - start)) < 0.5).sum())
+    return CoinRun(label, n_tosses, heads), report
 
 
 def chi_square_heads_tails(heads: int, tosses: int) -> float:

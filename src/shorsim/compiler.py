@@ -17,7 +17,10 @@ simulator's oracle tests are what hold this convention to account.
 
 Every multiplier is therefore a power of the last one, the base a, and
 a circuit is the triple (modulus n, base a, stage count s): its gate
-lines are derived from the triple, never stored. The work register is
+lines are derived from the triple, never stored, and written out as
+text or JSON but never read back. Circuit is the one place that checks
+a triple; every violation is a DomainError, except a stage count above
+MAX_READOUT_STAGES, which is refused. The work register is
 indexed by exponent: column j stands for a**j, and the stage-k
 controlled multiply is a cyclic shift of the columns by 2**(s-k) mod r.
 So the only size a circuit keeps is r, the order of a, found once per
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import (
-    CircuitFormatError,
     CompilationRequiresFactorsError,
     DomainError,
     NotCompilableError,
@@ -42,7 +44,6 @@ from .errors import (
 from .numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
     Semiprime,
-    parse_decimal,
     to_decimal,
 )
 
@@ -132,6 +133,22 @@ def _gate_lines(modulus: int, base: int, s: int) -> Iterator[tuple]:
         yield ("MEAS", k - 1)
 
 
+def check_readout_stages(s: int) -> int:
+    """s, if a circuit may have s readout stages.
+
+    Fewer than one is DomainError; more than MAX_READOUT_STAGES is
+    refused with RefusedTooLargeError, before any orbit is walked.
+    """
+    if s < 1:
+        raise DomainError("need at least one readout stage")
+    if s > MAX_READOUT_STAGES:
+        raise RefusedTooLargeError(
+            f"s = {s} readout stages exceeds the limit of "
+            f"{MAX_READOUT_STAGES} stages"
+        )
+    return s
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A staged readout circuit over one control qubit + work register.
@@ -142,8 +159,9 @@ class Circuit:
     the next. work_register_span is r, the order of a: the length of
     the orbit of residue 1 under a, found once, here, by work_orbit's
     bounded baby-step giant-step search, and the number of columns the
-    simulator allocates. The orbit's values are not kept. More than
-    MAX_READOUT_STAGES stages are refused before the orbit is walked.
+    simulator allocates. The orbit's values are not kept. The checks
+    run in order: n >= 2, 0 <= a < n, gcd(a, n) = 1, then the stage
+    count (check_readout_stages), all before the orbit is walked.
     """
 
     modulus: int
@@ -152,22 +170,17 @@ class Circuit:
     work_register_span: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_readout_bits < 1:
-            raise CircuitFormatError("a circuit needs at least one stage")
-        if self.num_readout_bits > MAX_READOUT_STAGES:
-            raise RefusedTooLargeError(
-                f"s = {self.num_readout_bits} readout stages exceeds the "
-                f"limit of {MAX_READOUT_STAGES} stages"
-            )
         if self.modulus < 2:
-            raise CircuitFormatError("modulus must be >= 2")
-        if not 1 <= self.base < self.modulus:
-            raise CircuitFormatError("base must lie in [1, modulus)")
+            raise DomainError("modulus must be at least 2")
+        if not 0 <= self.base < self.modulus:
+            raise DomainError("base must lie in [0, modulus)")
         if math.gcd(self.base, self.modulus) != 1:
-            raise CircuitFormatError(
-                f"base {self.base} shares a factor with the modulus "
-                f"(not a permutation)"
+            raise DomainError(
+                f"{self.base} shares a factor with {self.modulus}; a free "
+                f"factor should have been taken classically instead of "
+                f"building a circuit"
             )
+        check_readout_stages(self.num_readout_bits)
         object.__setattr__(self, "work_register_span",
                            work_orbit(self.modulus, self.base))
 
@@ -191,18 +204,6 @@ class Circuit:
         lines = _gate_lines(self.modulus, self.base, self.num_readout_bits)
         return "".join(" ".join(map(str, line)) + "\n" for line in lines)
 
-    @classmethod
-    def from_text(cls, text: str) -> "Circuit":
-        """Parse the line format, skipping blank lines.
-
-        The work span is recomputed, not read.
-        """
-        return _from_gates([
-            (f"line {lineno}", tuple(raw.split()))
-            for lineno, raw in enumerate(text.splitlines(), start=1)
-            if raw.strip()
-        ])
-
     def to_json_dict(self) -> dict:
         lines = _gate_lines(self.modulus, self.base, self.num_readout_bits)
         return {
@@ -216,109 +217,6 @@ class Circuit:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Circuit":
-        if not isinstance(data, dict) or \
-                data.get("format") != CIRCUIT_JSON_FORMAT:
-            raise CircuitFormatError("not a circuit document")
-        for name in ("version", "num_readout_bits", "work_register_span"):
-            if name in data and type(data[name]) is not int:
-                raise CircuitFormatError(
-                    f"declared {name} {data[name]} is not a JSON integer")
-        if data.get("version", 1) != 1:
-            raise CircuitFormatError(
-                f"unsupported circuit format version {data['version']}")
-        entries = data.get("gates")
-        if not isinstance(entries, list):
-            raise CircuitFormatError("gates must be a list of gate entries")
-        circuit = _from_gates([
-            (f"gates[{i}]", _json_tokens(f"gates[{i}]", entry))
-            for i, entry in enumerate(entries)
-        ])
-        for name, actual in (("num_readout_bits", circuit.num_readout_bits),
-                             ("work_register_span",
-                              circuit.work_register_span)):
-            declared = data.get(name, actual)
-            if declared != actual:
-                raise CircuitFormatError(
-                    f"declared {name} {declared} does not match the "
-                    f"circuit's {actual}"
-                )
-        return circuit
-
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise CircuitFormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
-
-
-def _json_tokens(label: str, entry) -> tuple[str, ...]:
-    """A JSON gate entry as the tokens of its text line.
-
-    Arguments must have the JSON types to_json_dict writes; other
-    fields are ignored.
-    """
-    kind = entry.get("gate") if isinstance(entry, dict) else None
-    if not isinstance(kind, str):
-        raise CircuitFormatError(f"{label}: not a gate entry")
-    args = [entry.get(name) for name in _GATE_ARGS.get(kind, ())]
-    wanted = str if kind == "CMODMUL" else int
-    if any(type(arg) is not wanted for arg in args):
-        raise CircuitFormatError(
-            f"{label}: {kind} arguments must be JSON "
-            f"{'strings' if wanted is str else 'integers'}"
-        )
-    return (kind, *map(str, args))
-
-
-def _from_gates(gates: list[tuple[str, tuple[str, ...]]]) -> Circuit:
-    """The circuit whose canonical layout gates is, or CircuitFormatError.
-
-    gates holds (label, tokens) per gate, in input order. The last
-    CMODMUL gives the modulus and the base, and its position gives the
-    stage count. Every gate must then equal that circuit's own line;
-    the layout is checked before the orbit is walked.
-    """
-    for label, (kind, *args) in gates:
-        if kind not in _GATE_ARGS or len(args) != len(_GATE_ARGS[kind]):
-            raise CircuitFormatError(
-                f"{label}: unrecognized gate {' '.join((kind, *args))!r}"
-            )
-    cmodmuls = [i for i, (_, tokens) in enumerate(gates)
-                if tokens[0] == "CMODMUL"]
-    if not cmodmuls:
-        raise CircuitFormatError("a circuit needs at least one stage")
-    where, (_, multiplier, modulus) = gates[cmodmuls[-1]]
-    s = cmodmuls[-1] // 4 + 1
-    try:
-        n, a = parse_decimal(modulus), parse_decimal(multiplier)
-    except DomainError as exc:
-        raise CircuitFormatError(f"{where}: {exc}") from exc
-    if n < 2:  # checked here too: the layout squares mod n
-        raise CircuitFormatError(f"{where}: modulus must be >= 2")
-    want = [tuple(map(str, line)) for line in _gate_lines(n, a, s)]
-    for (label, tokens), line in zip(gates, want):
-        if tokens != line:
-            message = (f"{label}: expected {' '.join(line)!r}, "
-                       f"got {' '.join(tokens)!r}")
-            if tokens[0] == line[0] == "CMODMUL":
-                message += (" (each multiplier is the square of the next "
-                            "stage's mod one shared modulus, in plain "
-                            "decimal)")
-            raise CircuitFormatError(message)
-    if len(gates) != len(want):
-        raise CircuitFormatError(
-            f"{gates[-1][0]}: {s} stages take {len(want)} gates, "
-            f"got {len(gates)}"
-        )
-    try:
-        return Circuit(n, a, s)
-    except CircuitFormatError as exc:
-        raise CircuitFormatError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -401,19 +299,9 @@ def build_semiclassical_stages(a: int, n: int, s: Optional[int] = None) -> Circu
     power comes first and measured bits fill y from the least
     significant end. s defaults to default_s(n).
     """
-    if n < 2:
+    if n < 2:  # before the reduction mod n
         raise DomainError("modulus must be at least 2")
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise DomainError(
-            f"{a} shares a factor with {n}; a free factor should have been "
-            f"taken classically instead of building a circuit"
-        )
-    if s is None:
-        s = default_s(n)
-    if s < 1:
-        raise DomainError("need at least one readout stage")
-    return Circuit(n, a, s)
+    return Circuit(n, a % n, default_s(n) if s is None else s)
 
 
 @dataclass(frozen=True)

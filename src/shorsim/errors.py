@@ -6,7 +6,11 @@ class ShorsimError(Exception):
 
 
 class DomainError(ShorsimError, ValueError):
-    """An input violates a documented precondition."""
+    """An input violates a documented precondition.
+
+    An invalid circuit (modulus, base, stage count) is one; Circuit is
+    the only place that checks it.
+    """
 
 
 class NotInvertibleError(DomainError):
@@ -39,10 +43,6 @@ class CompilationRequiresFactorsError(DomainError):
 
 class NotCompilableError(DomainError):
     """A base without period 2 cannot be lowered to the two-qubit circuit."""
-
-
-class CircuitFormatError(ShorsimError, ValueError):
-    """A circuit is out of range, or a circuit document is malformed."""
 
 
 class SimulationError(ShorsimError):

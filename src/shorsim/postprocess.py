@@ -21,6 +21,7 @@ from .compiler import (
     QubitBudget,
     build_compiled_circuit,
     build_semiclassical_stages,
+    check_readout_stages,
     default_s,
     find_period2_base,
     zalka_qubit_count,
@@ -352,12 +353,14 @@ def run_full_algorithm(
     """The whole loop: pick a base, run the circuit, recover the period,
     derive factors, retry on dead ends.
 
-    Honest mode refuses an n above AUTO_PRIMALITY_BIT_LIMIT bits and
-    a prime or perfect-power n, draws bases uniformly from [2, n-2],
-    simulates the staged circuit with s = s_override or default_s(n),
-    and refuses a split with a composite part. Its only quantum size
-    guard is the period: a base whose order exceeds MAX_WORK_SPAN ends
-    the run with RefusedTooLargeError, whatever the size of n.
+    Honest mode checks s_override first (check_readout_stages), so a
+    bad one fails whatever bases the seed draws. It then refuses an n
+    above AUTO_PRIMALITY_BIT_LIMIT bits and a prime or perfect-power n,
+    draws bases uniformly from [2, n-2], simulates the staged circuit
+    with s = s_override or default_s(n), and refuses a split with a
+    composite part. Its only quantum size guard is the period: a base
+    whose order exceeds MAX_WORK_SPAN ends the run with
+    RefusedTooLargeError, whatever the size of n.
     Compiled and coin modes build the one-stage circuit of the CRT
     period-2 base once (factors required, s_override refused).
     Compiled mode simulates it; coin mode reads y = 1 on heads of a
@@ -373,6 +376,8 @@ def run_full_algorithm(
         raise DomainError("need at least one attempt")
 
     if mode == MODE_HONEST:
+        s = (default_s(n) if s_override is None
+             else check_readout_stages(s_override))
         # the quantum size guard is work_orbit's, on each base's period;
         # this one bounds the pre-steps, whose cost grows with n
         if n.bit_length() > AUTO_PRIMALITY_BIT_LIMIT:
@@ -394,7 +399,6 @@ def run_full_algorithm(
                 f"{'square' if k == 2 else 'power'}, never a product of "
                 f"two distinct primes"
             )
-        s = default_s(n) if s_override is None else s_override
     else:
         if s_override is not None:
             raise DomainError(

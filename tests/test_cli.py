@@ -9,7 +9,6 @@ import pytest
 
 from shorsim import cli
 from shorsim.cli import main
-from shorsim.compiler import Circuit
 from shorsim.fixtures import fixture_root
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -112,9 +111,10 @@ class TestCircuit:
             "--a", "7", "--n", "15", "--s", "4",
         )
         assert code == 0
-        circuit = Circuit.from_text(out)
-        assert circuit.num_readout_bits == 4
-        assert circuit.multipliers[-1] == 7
+        lines = out.splitlines()
+        assert len(lines) == 16
+        assert [line for line in lines if line.startswith("CMODMUL")] == [
+            f"CMODMUL {pow(7, 2 ** (4 - k), 15)} 15" for k in range(1, 5)]
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -122,9 +122,13 @@ class TestCircuit:
             "--p", "3", "--q", "5", "--format", "json",
         )
         assert code == 0
-        circuit = Circuit.from_json(out)
-        assert circuit.num_readout_bits == 1
-        assert circuit.work_register_span == 2
+        doc = json.loads(out)
+        assert (doc["num_readout_bits"], doc["work_register_span"]) == (1, 2)
+        (gate,) = [g for g in doc["gates"] if g["gate"] == "CMODMUL"]
+        multiplier = int(gate["multiplier"])
+        assert gate["modulus"] == "15"
+        assert multiplier not in (1, 14)
+        assert multiplier ** 2 % 15 == 1
 
     def test_json_output_is_pinned(self, capsys):
         code, out, _ = run_cli(
@@ -153,6 +157,23 @@ class TestCircuit:
                                "--a", "4", "--n", "15")
         assert code == 2
         assert "needs --p and --q" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv, stray", [
+        (["circuit", "--kind", "compiled", "--p", "3", "--q", "5",
+          "--s", "4"], "--kind compiled takes no --s"),
+        (["simulate", "--kind", "compiled", "--p", "3", "--q", "5",
+          "--a", "7", "--n", "21"], "--kind compiled takes no --a, --n"),
+        (["circuit", "--kind", "semiclassical", "--a", "7", "--n", "15",
+          "--p", "3"], "--kind semiclassical takes no --p"),
+        (["dist", "--kind", "semiclassical", "--a", "7", "--n", "15",
+          "--s", "2", "--q", "5"], "--kind semiclassical takes no --q"),
+    ], ids=["circuit-compiled", "simulate-compiled", "circuit-semiclassical",
+            "dist-semiclassical"])
+    def test_other_kinds_flags_refused(self, capsys, argv, stray):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "DomainError",
+                                            "message": stray}
 
     def test_semiclassical_needs_base_and_modulus(self, capsys):
         code, _, err = run_cli(capsys, "circuit", "--kind", "semiclassical",
@@ -319,6 +340,17 @@ class TestFactor:
         assert error["type"] == "DomainError"
         assert "--s (s_override) applies to honest mode only" \
             in error["message"]
+
+    @pytest.mark.parametrize("s, code", [("0", 2), ("5000", 4)])
+    def test_honest_s_is_checked_whatever_the_seed(self, capsys, s, code):
+        # seed 3's first base on 15 is a gcd shortcut, seed 0's is not
+        shortcut = json.loads(run_cli(capsys, "factor", "--n", "15",
+                                      "--seed", "3")[1])
+        assert shortcut["gcd_shortcut"] is True
+        results = [run_cli(capsys, "factor", "--n", "15", "--seed", seed,
+                           "--s", s) for seed in ("0", "3")]
+        assert results[0] == results[1]
+        assert results[0][:2] == (code, "")
 
     def test_honest_orbit_guard(self, capsys):
         # 65537 x 274177: lambda = 70189056, and seed 0's first base

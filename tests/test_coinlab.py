@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ class TestTossSeries:
     def test_long_run_frequency(self):
         run = _toss_run(100_000, 123)
         assert abs(run.p_hat - 0.5) < 4 * math.sqrt(0.25 / 100_000)
+
+    def test_long_series_is_counted_in_blocks(self):
+        # one draw of 200 000 doubles holds 1.6 MB at once; blocks of
+        # 2**16 count the same stream in about a third of that
+        tracemalloc.start()
+        try:
+            run = _toss_run(200_000, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tosses = np.random.Generator(np.random.PCG64(4)).random(200_000)
+        assert run.heads == int((tosses < 0.5).sum())
+        assert peak < 800_000
 
 
 class TestCoinFactorDemo:

@@ -44,7 +44,7 @@ def test_public_surface():
     # acceptance tests, or is what one of those gets back; a new export
     # has to be added here on purpose
     assert sorted(shorsim.__all__) == [
-        "AttemptRecord", "Circuit", "CircuitFormatError", "CoinRun",
+        "AttemptRecord", "Circuit", "CoinRun",
         "CompilationRequiresFactorsError", "CompiledBase", "Convergent",
         "DomainError", "FIXTURE_ENV", "FactorReport", "NotCompilableError",
         "NotInvertibleError", "OutcomeDistribution", "PeriodCandidate",

@@ -476,6 +476,22 @@ def test_s_override_is_refused_outside_honest_mode(mode, s):
                            s_override=s)
 
 
+@pytest.mark.parametrize("n, seed", [(15, 3), (8191, 0)],
+                         ids=["gcd-shortcut-first", "prime"])
+@pytest.mark.parametrize("s, error, message", [
+    (0, DomainError, "need at least one readout stage"),
+    (5000, RefusedTooLargeError,
+     "s = 5000 readout stages exceeds the limit of 4096 stages"),
+], ids=["0", "5000"])
+def test_honest_s_override_is_checked_before_anything_runs(n, seed, s,
+                                                          error, message):
+    # seed 3's first base on 15 is a gcd shortcut, so no circuit is
+    # built; 8191 is prime, which the pre-steps would refuse
+    with pytest.raises(error) as refused:
+        run_full_algorithm(Semiprime(n), seed=seed, s_override=s)
+    assert str(refused.value) == message
+
+
 class TestFactorReport:
     def test_product_invariant_enforced(self):
         from shorsim.compiler import zalka_qubit_count
