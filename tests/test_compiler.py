@@ -1,7 +1,10 @@
 """Circuit construction, validation, output formats, qubit budgets."""
 
+import dataclasses
+import json
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -331,6 +334,25 @@ class TestCircuitValidation:
             "s = 4097 readout stages exceeds the limit of 4096 stages")
         assert walks == [(337, 2)]
 
+    def test_unmutated_layouts_are_accepted(self):
+        # the text and JSON forms write the same gates, one per line
+        circuit = build_semiclassical_stages(2, 33, 3)
+        lines = circuit.to_text().splitlines()
+        entries = circuit.to_json_dict()["gates"]
+        assert len(lines) == len(entries) == 12
+        for line, entry in zip(lines, entries):
+            kind, *args = line.split()
+            names = _ENTRY_FIELDS.get(kind, ())
+            assert set(entry) == {"gate", *names}
+            assert entry["gate"] == kind
+            assert [str(entry[name]) for name in names] == args
+
+
+# The JSON fields of each gate kind that takes arguments
+_ENTRY_FIELDS = {"CMODMUL": ("multiplier", "modulus"), "VH": ("stage",),
+                 "MEAS": ("bit",)}
+_PLAIN_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
 
 class TestSerialization:
     def test_text_round_trip(self):
@@ -363,3 +385,84 @@ class TestSerialization:
         entry = circuit.to_json_dict()["gates"][1]
         assert isinstance(entry["multiplier"], str)
         assert isinstance(entry["modulus"], str)
+
+    def test_text_span_is_recomputed(self):
+        # the text form declares no span: every Circuit of (n, a) finds
+        # the order of a again, whatever its stage count
+        assert "4" not in build_semiclassical_stages(7, 15, 1).to_text()
+        for s in (1, 2, 8):
+            assert Circuit(15, 7, s).work_register_span == 4
+        assert Circuit(33, 2, 3).work_register_span == 10
+
+    def test_json_span_mismatch_rejected(self):
+        # the written span is the order of a; no caller can set another
+        with pytest.raises(TypeError):
+            Circuit(15, 7, 4, work_register_span=5)
+        circuit = build_semiclassical_stages(7, 15, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circuit.work_register_span = 5
+        payload = circuit.to_json_dict()
+        assert payload["work_register_span"] == multiplicative_order(7, 15)
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_readout_bits", 7), ("version", 99), ("version", True),
+        ("num_readout_bits", 3.0), ("work_register_span", 10.0)])
+    def test_json_declared_field_mismatch_rejected(self, field, value):
+        # each declared field is written as the plain int that agrees
+        # with the gate list, never as a value that merely equals it
+        circuit = build_semiclassical_stages(2, 33, 3)
+        document = circuit.to_json()
+        payload = json.loads(document)
+        declared = {"version": 1,
+                    "num_readout_bits": len(payload["gates"]) // 4,
+                    "work_register_span": multiplicative_order(2, 33)}
+        assert type(payload[field]) is int
+        assert payload[field] == declared[field]
+        written = {line.strip().rstrip(",") for line in document.splitlines()}
+        assert f'"{field}": {declared[field]}' in written
+        assert f'"{field}": {json.dumps(value)}' not in written
+
+    def test_text_rejects_non_canonical_multipliers(self):
+        # stage by stage, each multiplier is the square of the next one
+        # mod n, and the last stage applies the base itself
+        lines = build_semiclassical_stages(2, 33, 4).to_text().splitlines()
+        multipliers = [int(line.split()[1]) for line in lines[1::4]]
+        assert multipliers == [25, 16, 4, 2]
+        assert all(m == following ** 2 % 33
+                   for m, following in zip(multipliers, multipliers[1:]))
+
+    def test_json_rejects_non_canonical_multipliers(self):
+        gates = build_semiclassical_stages(2, 33, 4).to_json_dict()["gates"]
+        multipliers = [int(g["multiplier"]) for g in gates
+                       if g["gate"] == "CMODMUL"]
+        assert multipliers == [25, 16, 4, 2]
+        assert all(m == following ** 2 % 33
+                   for m, following in zip(multipliers, multipliers[1:]))
+
+    def test_text_rejects_hex_multiplier(self):
+        # multipliers and moduli are written in plain decimal, also far
+        # past 64 bits
+        p = (1 << 127) - 1
+        q = (1 << 521) - 1
+        circuit = build_compiled_circuit(
+            find_period2_base(Semiprime.from_factors(p, q))
+        )
+        line = circuit.to_text().splitlines()[1]
+        assert line == f"CMODMUL {circuit.base} {p * q}"
+
+    def test_only_plain_forms_are_read(self):
+        # one spelling per value: numbers in the text have no sign and
+        # no leading zero; in JSON, stage and bit numbers are ints (not
+        # strings, floats or bools) and multiplier and modulus are
+        # plain decimal strings
+        circuit = build_semiclassical_stages(7, 15, 12)
+        for line in circuit.to_text().splitlines():
+            for token in line.split()[1:]:
+                assert _PLAIN_DECIMAL.fullmatch(token)
+        for entry in circuit.to_json_dict()["gates"]:
+            for name in _ENTRY_FIELDS.get(entry["gate"], ()):
+                value = entry[name]
+                if entry["gate"] == "CMODMUL":
+                    assert _PLAIN_DECIMAL.fullmatch(value)
+                else:
+                    assert type(value) is int
