@@ -37,7 +37,6 @@ from .errors import (
     VerificationError,
 )
 from .fixtures import (
-    FIXTURE_ENV,
     SupplementaryFixture,
     fixture_root,
     load_fixture,
@@ -102,7 +101,6 @@ __all__ = [
     "ShorsimError",
     "SimulationError",
     "VerificationError",
-    "FIXTURE_ENV",
     "SupplementaryFixture",
     "fixture_root",
     "load_fixture",

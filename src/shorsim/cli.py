@@ -56,8 +56,8 @@ def _dec(text: str, flag: str) -> int:
 
 def _semiprime_from_args(args) -> Semiprime:
     n = _dec(args.n, "--n") if args.n is not None else None
-    p = _dec(args.p, "--p") if getattr(args, "p", None) is not None else None
-    q = _dec(args.q, "--q") if getattr(args, "q", None) is not None else None
+    p = _dec(args.p, "--p") if args.p is not None else None
+    q = _dec(args.q, "--q") if args.q is not None else None
     if p is not None and q is not None:
         sp = Semiprime.from_factors(p, q)
         if n is not None and sp.n != n:
@@ -203,7 +203,7 @@ def _cmd_coin_demo(args) -> int:
 
 
 def _cmd_verify_supplementary(args) -> int:
-    fixture = load_fixture(args.fixture, root=args.fixture_dir)
+    fixture = load_fixture(args.fixture)
     checks = verify_fixture(fixture)
     passed = all(ok for _, ok in checks)
     _print_json({
@@ -279,10 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-supplementary",
                            help="check a shipped or external fixture")
     p_ver.add_argument("--fixture", required=True,
-                       help="fixture name or directory path")
-    p_ver.add_argument("--fixture-dir", default=None,
-                       help="override the fixture root "
-                            "(default: packaged, or SHORSIM_FIXTURE_DIR)")
+                       help="packaged fixture name, else a directory path")
     p_ver.set_defaults(handler=_cmd_verify_supplementary)
 
     return parser

@@ -116,9 +116,9 @@ def chi_square_critical(dof: int) -> float:
     return dof * (1.0 - u + _Z_P999 * math.sqrt(u)) ** 3
 
 
-def chi_square_binomial(head_counts: Sequence[int], tosses_per_run: int,
-                        p: float = 0.5) -> tuple[float, int, float]:
-    """Goodness of fit of observed head counts to Binomial(n, p).
+def chi_square_binomial(head_counts: Sequence[int],
+                        tosses_per_run: int) -> tuple[float, int, float]:
+    """Goodness of fit of observed head counts to Binomial(n, 1/2).
 
     Adjacent outcome bins are merged until every expected count is at
     least 5 (the usual chi-square validity rule). Returns (statistic,
@@ -126,8 +126,6 @@ def chi_square_binomial(head_counts: Sequence[int], tosses_per_run: int,
     """
     if tosses_per_run < 1:
         raise DomainError("need at least one toss per run")
-    if not 0.0 < p < 1.0:
-        raise DomainError("p must be strictly between 0 and 1")
     runs = len(head_counts)
     if runs < 1:
         raise DomainError("need at least one run")
@@ -137,7 +135,7 @@ def chi_square_binomial(head_counts: Sequence[int], tosses_per_run: int,
             raise DomainError("heads count out of range")
         observed[h] += 1
     expected = [
-        runs * math.comb(tosses_per_run, k) * p**k * (1 - p) ** (tosses_per_run - k)
+        runs * math.comb(tosses_per_run, k) / 2**tosses_per_run
         for k in range(tosses_per_run + 1)
     ]
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 from .errors import (
     CompilationRequiresFactorsError,
@@ -310,7 +310,7 @@ class QubitBudget:
 
     n_bits: int
     zalka_qubits: int
-    compiled_qubits: int = 2
+    compiled_qubits: ClassVar[int] = 2
 
 
 def zalka_qubit_count(n: int) -> QubitBudget:
@@ -321,5 +321,4 @@ def zalka_qubit_count(n: int) -> QubitBudget:
     return QubitBudget(
         n_bits=bits,
         zalka_qubits=2 + (3 * bits + 1) // 2,
-        compiled_qubits=2,
     )

@@ -6,6 +6,9 @@ one. Each lives in a directory of plain decimal text files (n.txt,
 p.txt, q.txt, a*.txt); whitespace and line breaks inside the digits are
 ignored, so the files can stay line-wrapped for readability.
 
+A fixture argument means one thing: a packaged fixture name always
+loads the packaged fixture, and anything else is a directory path.
+
 Verification is pure arithmetic: the factors multiply to n, each base
 squares to 1 mod n, and the gcd pairs reproduce the factors. No
 primality testing happens here; at twenty thousand bits that would cost
@@ -19,12 +22,10 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DomainError
 from .numtheory import parse_decimal
-
-FIXTURE_ENV = "SHORSIM_FIXTURE_DIR"
 
 _REQUIRED = ("n.txt", "p.txt", "q.txt")
 
@@ -38,17 +39,8 @@ class SupplementaryFixture:
     bases: tuple[int, ...]
 
 
-def fixture_root(override: Optional[Union[str, Path]] = None) -> Path:
-    """Directory holding the fixture subdirectories.
-
-    Resolution order: explicit override, the SHORSIM_FIXTURE_DIR
-    environment variable, then the copy packaged with the library.
-    """
-    if override is not None:
-        return Path(override)
-    env = os.environ.get(FIXTURE_ENV)
-    if env:
-        return Path(env)
+def fixture_root() -> Path:
+    """Directory holding the packaged fixture subdirectories."""
     return Path(__file__).parent / "fixtures"
 
 
@@ -60,25 +52,25 @@ def _read_decimal(path: Path) -> int:
     return parse_decimal(text)
 
 
-def load_fixture(name_or_path: Union[str, Path],
-                 root: Optional[Union[str, Path]] = None) -> SupplementaryFixture:
-    """Load one fixture by name (resolved against fixture_root) or by
-    a direct path to its directory."""
-    direct = Path(name_or_path)
-    if direct.is_dir():
-        directory = direct
-        name = direct.name
-    else:
-        directory = fixture_root(root) / str(name_or_path)
-        name = str(name_or_path)
-        if not directory.is_dir():
-            raise DomainError(
-                f"no fixture named {name!r} under {fixture_root(root)}"
-            )
+def load_fixture(name_or_path: Union[str, Path]) -> SupplementaryFixture:
+    """Load one fixture: a packaged fixture by name, else the directory
+    at the given path.
+
+    Packaged names are checked first, so a directory of the same name in
+    the working directory never shadows a packaged fixture. Base files
+    are read in numeric order (a1, a2, ..., a10).
+    """
+    root = fixture_root()
+    name = str(name_or_path)
+    directory = root / name if name in os.listdir(root) else Path(name)
+    if not directory.is_dir():
+        raise DomainError(f"no fixture named {name!r} under {root}")
+    name = directory.name
     for required in _REQUIRED:
         if not (directory / required).is_file():
             raise DomainError(f"fixture {name!r} is missing {required}")
-    base_files = sorted(directory.glob("a*.txt"))
+    base_files = sorted(directory.glob("a*.txt"),
+                        key=lambda f: (len(f.stem), f.stem))
     if not base_files:
         raise DomainError(f"fixture {name!r} has no base files (a*.txt)")
     return SupplementaryFixture(

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
 import shutil
 import time
 from pathlib import Path
@@ -430,11 +431,37 @@ class TestVerifySupplementary:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
-    def test_fixture_dir_flag(self, capsys, tmp_path):
+    def test_fixture_path_to_a_copy(self, capsys, tmp_path):
         shutil.copytree(fixture_root() / "rsa768", tmp_path / "mycopy")
         code, out, _ = run_cli(capsys, "verify-supplementary",
-                               "--fixture", "mycopy",
-                               "--fixture-dir", str(tmp_path))
+                               "--fixture", str(tmp_path / "mycopy"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["fixture"] == "mycopy"
+
+    def test_local_directory_cannot_shadow_a_packaged_name(
+            self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "rsa768").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "verify-supplementary",
+                               "--fixture", "rsa768")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["passed"], payload["n_bits"]) == (True, 768)
+
+    def test_no_environment_variable_moves_the_packaged_root(
+            self, capsys, monkeypatch):
+        # every SHORSIM_* variable reads as a directory that is not there
+        class Everywhere(dict):
+            def get(self, key, default=None):
+                if key.startswith("SHORSIM_"):
+                    return "/nonexistent"
+                return super().get(key, default)
+
+        monkeypatch.setattr(os, "environ", Everywhere(os.environ))
+        code, out, _ = run_cli(capsys, "verify-supplementary",
+                               "--fixture", "rsa768")
         assert code == 0
         assert json.loads(out)["passed"] is True
 

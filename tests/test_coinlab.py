@@ -208,5 +208,3 @@ class TestChiSquare:
             chi_square_binomial([], 10)
         with pytest.raises(DomainError):
             chi_square_binomial([11], 10)
-        with pytest.raises(DomainError):
-            chi_square_binomial([5], 10, p=1.0)

@@ -6,7 +6,6 @@ import pytest
 
 from shorsim.errors import DomainError
 from shorsim.fixtures import (
-    FIXTURE_ENV,
     SupplementaryFixture,
     fixture_root,
     load_fixture,
@@ -47,21 +46,6 @@ class TestLoading:
         direct = fixture_root() / "rsa768"
         fx = load_fixture(direct)
         assert fx.name == "rsa768"
-        assert fx.n.bit_length() == 768
-
-    def test_env_var_overrides_root(self, tmp_path, monkeypatch):
-        shutil.copytree(fixture_root() / "rsa768", tmp_path / "alt")
-        monkeypatch.setenv(FIXTURE_ENV, str(tmp_path))
-        assert fixture_root() == tmp_path
-        with pytest.raises(DomainError):
-            load_fixture("rsa768")
-        fx = load_fixture("alt")
-        assert fx.n.bit_length() == 768
-
-    def test_explicit_root_beats_env(self, tmp_path, monkeypatch):
-        packaged = fixture_root()  # resolve before the override
-        monkeypatch.setenv(FIXTURE_ENV, str(tmp_path / "nowhere"))
-        fx = load_fixture("rsa768", root=packaged)
         assert fx.n.bit_length() == 768
 
     def test_missing_file_rejected(self, tmp_path):
@@ -123,6 +107,21 @@ class TestVerification:
         fx = load_fixture(broken)
         checks = dict(verify_fixture(fx))
         assert checks["p * q == n"] is False
+
+    def test_ten_bases_are_labelled_in_numeric_order(self, tmp_path):
+        # a1..a9 are sound, only a10 is wrong: its checks must say a10
+        ten = tmp_path / "ten"
+        shutil.copytree(fixture_root() / "rsa768", ten)
+        sound = [(ten / "a1.txt").read_text(), (ten / "a2.txt").read_text()]
+        for i in range(3, 10):
+            (ten / f"a{i}.txt").write_text(sound[(i - 1) % 2])
+        (ten / "a10.txt").write_text("4\n")
+        fx = load_fixture(ten)
+        assert len(fx.bases) == 10
+        assert fx.bases[9] == 4
+        failed = [label for label, ok in verify_fixture(fx) if not ok]
+        assert failed == ["a10**2 == 1 mod n",
+                          "gcd(a10 -/+ 1, n) reproduce p and q"]
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(DomainError):

@@ -46,7 +46,7 @@ def test_public_surface():
     assert sorted(shorsim.__all__) == [
         "AttemptRecord", "Circuit", "CoinRun",
         "CompilationRequiresFactorsError", "CompiledBase", "Convergent",
-        "DomainError", "FIXTURE_ENV", "FactorReport", "NotCompilableError",
+        "DomainError", "FactorReport", "NotCompilableError",
         "NotInvertibleError", "OutcomeDistribution", "PeriodCandidate",
         "QubitBudget", "RefusedTooLargeError", "Semiprime", "ShorsimError",
         "SimulationError", "StageRecord", "SupplementaryFixture",
