@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from shorsim.compiler import find_period2_bases
 from shorsim.errors import DomainError, NotInvertibleError, RefusedTooLargeError
+from shorsim.fixtures import load_fixture
 from shorsim.numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
     ORDER_SCAN_LIMIT,
@@ -30,6 +31,9 @@ from shorsim.numtheory import (
     random_probable_prime,
     to_decimal,
 )
+from shorsim.numtheory import _sieve
+from shorsim.numtheory import _strong_lucas_probable_prime as strong_lucas
+from shorsim.numtheory import _strong_probable_prime_base2 as strong_base2
 
 
 class TestGcd:
@@ -268,8 +272,10 @@ class TestSqrt1Roots:
 
 class TestPrimality:
     def test_small_knowns(self):
-        primes = [2, 3, 5, 7, 97, 65537, (1 << 31) - 1]
-        composites = [0, 1, 4, 9, 561, 1105, 6601, 3215031751]
+        mersenne = [(1 << e) - 1 for e in (31, 61, 127, 521, 607)]
+        primes = [2, 3, 5, 7, 97, 65537] + mersenne
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911]
+        composites = [0, 1, 4, 9, 3215031751] + carmichael
         for p in primes:
             assert is_probable_prime(p)
         for c in composites:
@@ -290,6 +296,71 @@ class TestPrimality:
     def test_tiny_bit_count_rejected(self):
         with pytest.raises(DomainError):
             random_probable_prime(1, random.Random(0))
+
+    def test_verdict_matches_sieve_below_10_6(self):
+        primes = set(_sieve(10**6))
+        assert [n for n in range(10**6)
+                if is_probable_prime(n) != (n in primes)] == []
+
+    def test_strong_tests_alone_match_sieve(self):
+        # below 10**6 trial division settles almost every n, so the two
+        # strong tests get their own check without it
+        primes = set(_sieve(2 * 10**5))
+        assert [n for n in range(3, 2 * 10**5, 2)
+                if (strong_base2(n) and strong_lucas(n)) != (n in primes)
+                ] == []
+
+    @pytest.mark.parametrize("n", [
+        2047, 3277, 4033, 4681, 8321, 3215031751, 3825123056546413051,
+    ])
+    def test_base2_strong_pseudoprimes_rejected(self, n):
+        assert strong_base2(n)
+        assert not strong_lucas(n)
+        assert not is_probable_prime(n)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_strong_lucas_pseudoprimes_rejected(self, n):
+        assert strong_lucas(n)
+        assert not strong_base2(n)
+        assert not is_probable_prime(n)
+
+    def test_rsa768_factors_accepted(self):
+        fx = load_fixture("rsa768")
+        assert is_probable_prime(fx.p)
+        assert is_probable_prime(fx.q)
+
+    @given(st.integers(0, 2**32), st.integers(12, 256), st.integers(12, 256))
+    @settings(max_examples=50, deadline=None)
+    def test_product_of_two_primes_rejected(self, seed, bits_p, bits_q):
+        # both factors exceed the trial-division table, so the strong
+        # tests decide
+        rng = random.Random(seed)
+        p = random_probable_prime(bits_p, rng)
+        q = random_probable_prime(bits_q, rng)
+        assert not is_probable_prime(p * q)
+
+    def test_seeded_prime_generation_is_pinned(self):
+        # criterion 7 and the compiler tests draw their primes this way;
+        # the values were produced by the 48-round Miller-Rabin test
+        # that Baillie-PSW replaced
+        g = random.Random(2013)
+        drawn = [random_probable_prime(b, g) for b in (64, 128, 256, 512,
+                                                         1024)]
+        assert drawn == [
+            15152217593872358269,
+            218640514818533934214594802714176540351,
+            int("10938859473124269156659871315288757060123205768809332874"
+                "6138317140296554305929"),
+            int("11092543015617059443909708986666527728886185364064334055"
+                "52395194673969728719122410336102409361438366943584793139"
+                "9975399406687920896732371931863784748529341"),
+            int("14264995535309132015773563685492644632811326297715597799"
+                "04363577067343377347430411546680010759687428383825631402"
+                "41371695129321690977131709456779434873143395602042686035"
+                "45118300405294012305461646346584620938884345589795668105"
+                "99443966231567383997492246714714198122924375450790860252"
+                "13231349874369605792456129337"),
+        ]
 
 
 class TestSemiprime:

@@ -33,6 +33,7 @@ from shorsim.postprocess import (
     odd_period_rescue,
     run_full_algorithm,
 )
+from shorsim.postprocess import _perfect_power
 from shorsim.simulator import output_distribution
 
 
@@ -317,9 +318,9 @@ class TestRunFullHonest:
             run_full_algorithm(Semiprime(16), mode="honest", seed=0)
 
     def test_pre_step_bit_limit(self):
-        # a Miller-Rabin round and the perfect-power search on this
-        # 20000-bit n take about a minute together; the refusal comes
-        # before them
+        # the base-2 strong test and the perfect-power search on this
+        # 20000-bit n take about 19 s and 5 s; the refusal comes before
+        # them
         n = load_fixture("n20000").n
         start = time.perf_counter()
         with pytest.raises(RefusedTooLargeError,
@@ -364,6 +365,24 @@ class TestRunFullHonest:
         with pytest.raises(DomainError, match=rf"{n} = {root}\*\*{k} is "
                            f"a perfect {'square' if k == 2 else 'power'}"):
             run_full_algorithm(Semiprime(n), mode="honest", seed=0)
+
+    def test_perfect_power_matches_every_k_reference(self):
+        # the pre-step tries prime k only; the reference tries every k,
+        # rooting by float and checking the integers next to it
+        def every_k(n):
+            for k in range(2, n.bit_length()):
+                guess = round(n ** (1 / k))
+                for b in (guess - 1, guess, guess + 1):
+                    if b >= 2 and b ** k == n:
+                        return b, k
+            return None
+
+        cases = {m for b in range(2, 51) for k in range(2, 13)
+                 for m in (b ** k - 1, b ** k, b ** k + 1)}
+        assert [m for m in sorted(cases)
+                if _perfect_power(m) != every_k(m)] == []
+        assert _perfect_power(2 ** 15) == (32, 3)
+        assert _perfect_power(3 ** 6) == (27, 2)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_composite_part_rejected(self, seed):
