@@ -309,16 +309,9 @@ def _prime_split(g: int, n: int) -> tuple[int, int]:
 def _perfect_power(n: int) -> Optional[tuple[int, int]]:
     """(b, k) with n = b**k for the least k >= 2, or None.
 
-    The least such k is prime (b**(ij) = (b**j)**i), so only prime k are
-    tried. The square root is math.isqrt; each odd prime k-th root is
-    an integer bisection, exact at any size.
+    Each k-th root is an integer bisection, exact at any size.
     """
-    root = math.isqrt(n)
-    if root > 1 and root * root == n:
-        return root, 2
-    for k in range(3, n.bit_length(), 2):
-        if not is_probable_prime(k):
-            continue
+    for k in range(2, n.bit_length()):
         lo, hi = 2, 1 << (n.bit_length() // k + 1)  # hi**k > n
         while lo < hi:
             mid = (lo + hi) // 2

@@ -319,7 +319,7 @@ class TestRunFullHonest:
 
     def test_pre_step_bit_limit(self):
         # the base-2 strong test and the perfect-power search on this
-        # 20000-bit n take about 19 s and 5 s; the refusal comes before
+        # 20000-bit n take about 19 s and 15 s; the refusal comes before
         # them
         n = load_fixture("n20000").n
         start = time.perf_counter()
@@ -367,8 +367,8 @@ class TestRunFullHonest:
             run_full_algorithm(Semiprime(n), mode="honest", seed=0)
 
     def test_perfect_power_matches_every_k_reference(self):
-        # the pre-step tries prime k only; the reference tries every k,
-        # rooting by float and checking the integers next to it
+        # the pre-step roots by integer bisection; the reference roots
+        # by float and checks the integers next to it
         def every_k(n):
             for k in range(2, n.bit_length()):
                 guess = round(n ** (1 / k))
