@@ -10,7 +10,9 @@ away with two work values while an honest run pays for the full cycle.
 In this basis each controlled multiply is a cyclic shift of the columns
 (Circuit.stage_shifts). run_circuit samples one trajectory in it:
 measurement collapses mid-circuit and the classical bits feed the later
-phase gates.
+phase gates. A stage costs a fixed handful of passes over two (2, r)
+buffers and two block norms, and the shot's uniforms are drawn once,
+up front, from its seeded stream.
 
 The exact routes, output_distribution and control_reduced_density,
 enumerate every measurement branch in the Fourier basis of Z_r instead,
@@ -30,8 +32,7 @@ the kernel shows as a gap between them. Tests hold the two together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _kernels
 from .compiler import Circuit
@@ -62,8 +63,7 @@ NORM_TOLERANCE = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """What one readout stage did: operand, feedback, outcome odds."""
 
     stage: int
@@ -130,58 +130,67 @@ def run_circuit(circuit: Circuit,
 
     No stage allocates: the state lives in two preallocated (2, r)
     complex buffers, four complex r-vectors (64 B per exponent column)
-    in all, and each shot costs O(s * r).
+    in all, and each shot costs O(s * r). A stage scales the register,
+    writes its shifted copy with the feedback phase in the same pass,
+    forms and scales the two Hadamard blocks, takes one norm per block
+    and rescales the kept block: a fixed handful of passes over the
+    buffers. The s uniforms that pick the outcomes are drawn in one
+    call, from the same PCG64 stream, value for value, as one draw per
+    stage.
     """
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
     r = circuit.work_register_span
-    # pre[0] holds the work register between stages; pre[1] its copy
+    # pre0 holds the work register between stages; pre1 its copy
     # shifted by the controlled multiply. post holds the two blocks
     # after the Hadamard, one per control outcome.
     pre = np.zeros((2, r), dtype=np.complex128)
     post = np.empty((2, r), dtype=np.complex128)
-    pre[0, 0] = 1.0  # residue 1 = a**0 sits in column 0
+    pre0, pre1 = pre
+    post0, post1 = post
+    pre0[0] = 1.0  # residue 1 = a**0 sits in column 0
     # Dividing complex by a real c multiplies each float part by 1/c,
     # so scaling the float views matches numpy's division bit for bit
     # (up to the sign of an exact zero, which nothing reads).
-    pre_parts, post_parts = pre.view(np.float64), post.view(np.float64)
+    pre0_parts = pre0.view(np.float64)
+    post_parts = post.view(np.float64)
+    kept_parts = tuple(post_parts)
+    uniforms = rng.random(circuit.num_readout_bits).tolist()
     prefix = 0
     records: list[StageRecord] = []
-    stages = zip(circuit.multipliers, circuit.stage_shifts)
-    for stage, (multiplier, shift) in enumerate(stages, start=1):
+    stages = zip(circuit.multipliers, circuit.stage_shifts, uniforms)
+    for stage, (multiplier, shift, uniform) in enumerate(stages, start=1):
         # PREP+, then the controlled multiply shifts the control-|1> block
-        np.multiply(pre_parts[0], _INV_SQRT2, out=pre_parts[0])
-        pre[1, shift:] = pre[0, :r - shift]
-        pre[1, :shift] = pre[0, r - shift:]
+        np.multiply(pre0_parts, _INV_SQRT2, out=pre0_parts)
         phase = 0.0
-        if stage > 1:
+        if stage == 1:
+            pre1[shift:] = pre0[:r - shift]
+            pre1[:shift] = pre0[r - shift:]
+        else:
             # feedback angle from the bits measured so far: -2*pi*P/2**k,
-            # P/2**k rounded once, so no k overflows a float
+            # P/2**k rounded once, so no k overflows a float; the
+            # shifted copy takes it as it is written
             phase = -2.0 * np.pi * (prefix / (1 << stage))
-            pre[1] *= np.exp(1j * phase)
-        np.add(pre[0], pre[1], out=post[0])
-        np.subtract(pre[0], pre[1], out=post[1])
+            turn = np.exp(1j * phase)
+            np.multiply(pre0[:r - shift], turn, out=pre1[shift:])
+            np.multiply(pre0[r - shift:], turn, out=pre1[:shift])
+        np.add(pre0, pre1, out=post0)
+        np.subtract(pre0, pre1, out=post1)
         np.multiply(post_parts, _INV_SQRT2, out=post_parts)
-        total = float(np.vdot(post, post).real)
+        p0 = float(np.vdot(post0, post0).real)
+        p1 = float(np.vdot(post1, post1).real)
+        total = p0 + p1
         if not abs(total - 1.0) <= NORM_TOLERANCE:  # NaN fails too
             raise SimulationError(f"state norm drifted to {total}")
-        p1 = float(np.vdot(post[1], post[1]).real)
-        outcome = 1 if rng.random() < p1 else 0
+        outcome = 1 if uniform < p1 else 0
         # renormalise by the kept block's own norm, not by its odds, so
-        # rounding error cannot grow by 1/p over unlikely outcomes; for
-        # block 1 that norm is p1 itself
-        kept_norm = p1 if outcome else float(np.vdot(post[0], post[0]).real)
-        np.multiply(post_parts[outcome], 1.0 / np.sqrt(kept_norm),
-                    out=pre_parts[0])
+        # rounding error cannot grow by 1/p over unlikely outcomes
+        kept_norm = p1 if outcome else p0
+        np.multiply(kept_parts[outcome], 1.0 / math.sqrt(kept_norm),
+                    out=pre0_parts)
         prefix |= outcome << (stage - 1)
-        records.append(StageRecord(
-            stage=stage,
-            multiplier=multiplier,
-            phase=phase,
-            p_one=p1,
-            bit=outcome,
-        ))
+        records.append(StageRecord(stage, multiplier, phase, p1, outcome))
     return prefix, tuple(records)
 
 

@@ -106,7 +106,7 @@ class TestCompileBase:
 
 
 class TestCircuit:
-    def test_text_round_trip(self, capsys):
+    def test_text_lists_each_stage_multiplier(self, capsys):
         code, out, _ = run_cli(
             capsys, "circuit", "--kind", "semiclassical",
             "--a", "7", "--n", "15", "--s", "4",
@@ -117,7 +117,7 @@ class TestCircuit:
         assert [line for line in lines if line.startswith("CMODMUL")] == [
             f"CMODMUL {pow(7, 2 ** (4 - k), 15)} 15" for k in range(1, 5)]
 
-    def test_json_round_trip(self, capsys):
+    def test_json_compiled_gate_squares_to_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "circuit", "--kind", "compiled",
             "--p", "3", "--q", "5", "--format", "json",

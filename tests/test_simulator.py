@@ -429,6 +429,105 @@ class TestRunCircuit:
         assert peak <= 6 * 16 * r
 
 
+def reference_run_circuit(circuit, seed):
+    """Loop reference for run_circuit: the sampler as it was before its
+    per-stage passes were fused. Two slice copies, then the feedback
+    phase multiplied in place, three vdots, one uniform drawn per stage
+    and np.sqrt. Returns y and one (stage, multiplier, phase, p_one,
+    bit) tuple per stage."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    r = circuit.work_register_span
+    pre = np.zeros((2, r), dtype=np.complex128)
+    post = np.empty((2, r), dtype=np.complex128)
+    pre[0, 0] = 1.0
+    pre_parts, post_parts = pre.view(np.float64), post.view(np.float64)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    prefix = 0
+    records = []
+    stages = zip(circuit.multipliers, circuit.stage_shifts)
+    for stage, (multiplier, shift) in enumerate(stages, start=1):
+        np.multiply(pre_parts[0], inv_sqrt2, out=pre_parts[0])
+        pre[1, shift:] = pre[0, :r - shift]
+        pre[1, :shift] = pre[0, r - shift:]
+        phase = 0.0
+        if stage > 1:
+            phase = -2.0 * np.pi * (prefix / (1 << stage))
+            pre[1] *= np.exp(1j * phase)
+        np.add(pre[0], pre[1], out=post[0])
+        np.subtract(pre[0], pre[1], out=post[1])
+        np.multiply(post_parts, inv_sqrt2, out=post_parts)
+        total = float(np.vdot(post, post).real)
+        assert abs(total - 1.0) <= simulator.NORM_TOLERANCE
+        p1 = float(np.vdot(post[1], post[1]).real)
+        outcome = 1 if rng.random() < p1 else 0
+        kept_norm = p1 if outcome else float(np.vdot(post[0], post[0]).real)
+        np.multiply(post_parts[outcome], 1.0 / np.sqrt(kept_norm),
+                    out=pre_parts[0])
+        prefix |= outcome << (stage - 1)
+        records.append((stage, multiplier, phase, p1, outcome))
+    return prefix, records
+
+
+def _honest_reference_cases():
+    """(a, n, s): two drawn bases per honest benchmark modulus, a base
+    of order 16020 mod 32399 (the longest period there), r = 1 and
+    r = 2, and the shortest and a long readout."""
+    draw = random.Random(2013)
+    cases = []
+    for n in (3127, 3599, 6557, 146611, 197633, 886657, 1026241, 60491,
+              32399):
+        for _ in range(2):
+            a = draw.randrange(2, n - 1)
+            while math.gcd(a, n) != 1:
+                a = draw.randrange(2, n - 1)
+            cases.append((a, n, default_s(n)))
+    longest = next(a for a in range(2, 32399)
+                   if multiplicative_order(a, 32399) == 16020)
+    cases.append((longest, 32399, default_s(32399)))
+    cases += [(1, 15, 8), (14, 15, 8), (7, 15, 1), (2, 337, 1),
+              (2, 337, 1023)]
+    return cases
+
+
+class TestRunCircuitMatchesReference:
+    @pytest.mark.parametrize("a,n,s", _honest_reference_cases())
+    def test_records_are_bit_identical(self, a, n, s):
+        # the same floating-point operations in the same order, and the
+        # same stream of uniforms: every field equal, no tolerance
+        circuit = build_semiclassical_stages(a, n, s)
+        for seed in (0, 1, 7, 2 ** 62 + 5):
+            y, records = run_circuit(circuit, seed)
+            ref_y, ref_records = reference_run_circuit(circuit, seed)
+            assert y == ref_y
+            assert [(rec.stage, rec.multiplier, rec.phase, rec.p_one,
+                     rec.bit) for rec in records] == ref_records
+
+
+class TestStageRecord:
+    def test_fields_in_order(self):
+        assert simulator.StageRecord._fields == (
+            "stage", "multiplier", "phase", "p_one", "bit")
+
+    def test_repr_names_every_field(self):
+        rec = simulator.StageRecord(stage=2, multiplier=4, phase=-1.5,
+                                    p_one=0.25, bit=1)
+        assert repr(rec) == ("StageRecord(stage=2, multiplier=4, "
+                             "phase=-1.5, p_one=0.25, bit=1)")
+
+    def test_fields_cannot_be_assigned(self):
+        rec = simulator.StageRecord(1, 7, 0.0, 0.5, 0)
+        with pytest.raises(AttributeError):
+            rec.bit = 1
+        assert rec.bit == 0
+
+    def test_equal_values_make_equal_records(self):
+        first = simulator.StageRecord(3, 13, -0.5, 0.75, 1)
+        second = simulator.StageRecord(stage=3, multiplier=13, phase=-0.5,
+                                       p_one=0.75, bit=1)
+        assert first == second
+        assert first != simulator.StageRecord(3, 13, -0.5, 0.75, 0)
+
+
 class TestGuards:
     def test_too_many_readout_bits(self):
         circuit = build_semiclassical_stages(
