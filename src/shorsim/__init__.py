@@ -30,7 +30,6 @@ from .errors import (
     CompilationRequiresFactorsError,
     DomainError,
     NotCompilableError,
-    NotInvertibleError,
     RefusedTooLargeError,
     ShorsimError,
     SimulationError,
@@ -46,10 +45,7 @@ from .numtheory import (
     Convergent,
     Semiprime,
     continued_fraction_convergents,
-    gcd,
     is_probable_prime,
-    mod_inverse,
-    mod_pow,
     multiplicative_order,
     parse_decimal,
     random_probable_prime,
@@ -96,7 +92,6 @@ __all__ = [
     "CompilationRequiresFactorsError",
     "DomainError",
     "NotCompilableError",
-    "NotInvertibleError",
     "RefusedTooLargeError",
     "ShorsimError",
     "SimulationError",
@@ -108,10 +103,7 @@ __all__ = [
     "Convergent",
     "Semiprime",
     "continued_fraction_convergents",
-    "gcd",
     "is_probable_prime",
-    "mod_inverse",
-    "mod_pow",
     "multiplicative_order",
     "parse_decimal",
     "random_probable_prime",

@@ -13,22 +13,6 @@ class DomainError(ShorsimError, ValueError):
     """
 
 
-class NotInvertibleError(DomainError):
-    """Modular inverse requested for a non-unit.
-
-    Carries the offending gcd: when the modulus is the number being
-    factored, that gcd is itself a nontrivial factor.
-    """
-
-    def __init__(self, value: int, modulus: int, gcd: int):
-        super().__init__(
-            f"{value} is not invertible mod {modulus}: gcd = {gcd}"
-        )
-        self.value = value
-        self.modulus = modulus
-        self.gcd = gcd
-
-
 class RefusedTooLargeError(ShorsimError):
     """A size guard refused the computation rather than thrash or hang."""
 

@@ -2,11 +2,10 @@
 
 Everything here runs on plain Python ints, which are unbounded, so the
 same code path serves N = 15 and a 20000-bit semiprime. The classical
-half of the factoring pipeline lives in this module: checked wrappers
-around the interpreter's gcd, modular power and inverse, primality
+half of the factoring pipeline lives in this module: primality
 testing, brute-force order finding (test oracle only, guarded) and
-continued fractions. Inside the package, callers whose inputs are
-already in range call pow and math.gcd directly.
+continued fractions. Modular powers and gcds need no wrapper: callers
+use the interpreter's pow and math.gcd directly.
 
 Primality is the Baillie-PSW test (R. Baillie and S. Wagstaff, "Lucas
 pseudoprimes", Math. Comp. 35 (1980) 1391-1417): deterministic, with
@@ -20,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, NotInvertibleError, RefusedTooLargeError
+from .errors import DomainError, RefusedTooLargeError
 
 # Brute-force order scan refuses above this; order finding is the hard
 # part, so the linear-scan oracle stays a small-n tool by construction.
@@ -44,37 +43,6 @@ def _check_nonneg(*values: int) -> None:
             raise DomainError(f"expected an integer, got {type(v).__name__}")
         if v < 0:
             raise DomainError("negative values are outside this domain")
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative ints: math.gcd with
-    input checks. gcd(a, 0) = a."""
-    _check_nonneg(a, b)
-    return math.gcd(a, b)
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a mod m, in [1, m).
-
-    Raises NotInvertibleError carrying the gcd when a is not a unit;
-    that gcd is a factor witness when m is composite.
-    """
-    _check_nonneg(a, m)
-    if m < 2:
-        raise DomainError("modulus must be at least 2")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise NotInvertibleError(a, m, math.gcd(a, m)) from None
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m for nonnegative ints: the builtin pow with input
-    checks. m = 1 gives 0."""
-    _check_nonneg(base, exp, m)
-    if m == 0:
-        raise DomainError("modulus must be positive")
-    return pow(base, exp, m)
 
 
 def multiplicative_order(a: int, n: int) -> int:

@@ -111,15 +111,7 @@ def derive_factors(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
         raise DomainError(f"{a}**{r} is not 1 mod {n}: not a period")
     if r % 2 == 1:
         return odd_period_rescue(a, r, n)
-    x = pow(a, r // 2, n)
-    if x == n - 1:
-        return None
-    g1 = math.gcd(x - 1, n)
-    g2 = math.gcd(x + 1, n)
-    if 1 < g1 < n and 1 < g2 < n:
-        lo, hi = sorted((g1, g2))
-        return lo, hi
-    return None
+    return _split_at(pow(a, r // 2, n), n)
 
 
 def odd_period_rescue(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
@@ -136,8 +128,13 @@ def odd_period_rescue(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
     b = math.isqrt(a)
     if b * b != a:
         return None
-    x = pow(b, r, n)
-    g1 = math.gcd((x - 1) % n, n)
+    return _split_at(pow(b, r, n), n)
+
+
+def _split_at(x: int, n: int) -> Optional[tuple[int, int]]:
+    """gcd(x - 1, n) and gcd(x + 1, n) in ascending order, or None
+    unless both are nontrivial (x = n-1 gives gcd(x + 1, n) = n)."""
+    g1 = math.gcd(x - 1, n)
     g2 = math.gcd(x + 1, n)
     if 1 < g1 < n and 1 < g2 < n:
         lo, hi = sorted((g1, g2))
@@ -364,7 +361,8 @@ def run_full_algorithm(
     Compiled and coin modes build the one-stage circuit of the CRT
     period-2 base once (factors required, s_override refused).
     Compiled mode simulates it; coin mode reads y = 1 on heads of a
-    PCG64 coin seeded with seed. Deterministic per seed; exhausting
+    PCG64 coin seeded with seed. Every mode refuses a negative seed
+    before any pre-step. Deterministic per seed; exhausting
     max_attempts yields a report with factors = None rather than an
     exception.
     """
@@ -374,6 +372,8 @@ def run_full_algorithm(
         raise DomainError("even moduli have the factor 2; nothing to run")
     if max_attempts < 1:
         raise DomainError("need at least one attempt")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
 
     if mode == MODE_HONEST:
         s = (default_s(n) if s_override is None

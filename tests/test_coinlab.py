@@ -75,6 +75,10 @@ class TestTossSeries:
             with pytest.raises(DomainError):
                 _toss_run(n_tosses, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            _toss_run(10, -1)
+
     def test_long_run_frequency(self):
         run = _toss_run(100_000, 123)
         assert abs(run.p_hat - 0.5) < 4 * math.sqrt(0.25 / 100_000)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shorsim.compiler import find_period2_bases
-from shorsim.errors import DomainError, NotInvertibleError, RefusedTooLargeError
+from shorsim.errors import DomainError, RefusedTooLargeError
 from shorsim.fixtures import load_fixture
 from shorsim.numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
@@ -22,10 +22,7 @@ from shorsim.numtheory import (
     Convergent,
     Semiprime,
     continued_fraction_convergents,
-    gcd,
     is_probable_prime,
-    mod_inverse,
-    mod_pow,
     multiplicative_order,
     parse_decimal,
     random_probable_prime,
@@ -34,81 +31,6 @@ from shorsim.numtheory import (
 from shorsim.numtheory import _sieve
 from shorsim.numtheory import _strong_lucas_probable_prime as strong_lucas
 from shorsim.numtheory import _strong_probable_prime_base2 as strong_base2
-
-
-class TestGcd:
-    def test_known_values(self):
-        assert gcd(12, 18) == 6
-        assert gcd(17, 5) == 1
-        assert gcd(0, 7) == 7
-        assert gcd(7, 0) == 7
-        assert gcd(0, 0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            gcd(-4, 6)
-
-    def test_rejects_bool(self):
-        with pytest.raises(DomainError):
-            gcd(True, 6)
-
-    @given(st.integers(0, 1 << 256), st.integers(0, 1 << 256))
-    def test_matches_stdlib(self, a, b):
-        assert gcd(a, b) == math.gcd(a, b)
-
-
-class TestModInverse:
-    def test_small_inverse(self):
-        assert mod_inverse(3, 10) == 7
-        assert mod_inverse(1, 2) == 1
-
-    def test_gcd_witness_on_failure(self):
-        with pytest.raises(NotInvertibleError) as exc_info:
-            mod_inverse(5, 15)
-        assert exc_info.value.gcd == 5
-        assert exc_info.value.value == 5
-        assert exc_info.value.modulus == 15
-
-    def test_shared_factor_is_not_invertible(self):
-        with pytest.raises(NotInvertibleError):
-            mod_inverse(6, 9)
-
-    @given(st.integers(0, 1 << 128), st.integers(2, 1 << 128))
-    def test_inverse_property(self, a, m):
-        if math.gcd(a % m, m) != 1:
-            with pytest.raises(NotInvertibleError):
-                mod_inverse(a, m)
-        else:
-            inv = mod_inverse(a, m)
-            assert 0 < inv < m or (m == 1 and inv == 0)
-            assert a * inv % m == 1 % m
-
-
-class TestModPow:
-    def test_matches_builtin_on_grid(self):
-        moduli = [2, 3, 7, 15, 21, 97, 65537, (1 << 61) - 1]
-        for m in moduli:
-            for base in range(0, 40, 3):
-                for exp in range(0, 1 << 10, 41):
-                    assert mod_pow(base, exp, m) == pow(base, exp, m)
-
-    def test_huge_operands(self):
-        b = 3 ** 500
-        e = 2 ** 300 + 7
-        m = (1 << 521) - 1
-        assert mod_pow(b, e, m) == pow(b, e, m)
-
-    def test_modulus_one_gives_zero(self):
-        assert mod_pow(123, 456, 1) == 0
-
-    def test_modulus_zero_rejected(self):
-        with pytest.raises(DomainError):
-            mod_pow(2, 3, 0)
-
-    @given(st.integers(0, 1 << 200), st.integers(0, 1 << 64),
-           st.integers(1, 1 << 200))
-    def test_matches_builtin_property(self, b, e, m):
-        assert mod_pow(b, e, m) == pow(b, e, m)
 
 
 class TestMultiplicativeOrder:
@@ -233,8 +155,8 @@ class TestSqrt1Roots:
         assert {b1.sign_choice, b2.sign_choice} == {("+", "-"), ("-", "+")}
         # reconstruct each root from its sign pair
         n = 15
-        e_q = 3 * mod_inverse(3 % 5, 5) % n
-        e_p = 5 * mod_inverse(5 % 3, 3) % n
+        e_q = 3 * pow(3 % 5, -1, 5) % n
+        e_p = 5 * pow(5 % 3, -1, 3) % n
         for base in (b1, b2):
             sgn_q, sgn_p = base.sign_choice
             val = (e_q if sgn_q == "+" else -e_q) + \

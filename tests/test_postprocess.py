@@ -151,6 +151,66 @@ class TestOddPeriodRescue:
         assert odd_period_rescue(4, 3, 7) is None
 
 
+def _inline_derive_factors(a, r, n):
+    """derive_factors as it was written before _split_at, kept verbatim
+    as the reference for the shared split."""
+    if r < 1:
+        raise DomainError("period must be positive")
+    if pow(a, r, n) != 1:
+        raise DomainError(f"{a}**{r} is not 1 mod {n}: not a period")
+    if r % 2 == 1:
+        return _inline_odd_period_rescue(a, r, n)
+    x = pow(a, r // 2, n)
+    if x == n - 1:
+        return None
+    g1 = math.gcd(x - 1, n)
+    g2 = math.gcd(x + 1, n)
+    if 1 < g1 < n and 1 < g2 < n:
+        lo, hi = sorted((g1, g2))
+        return lo, hi
+    return None
+
+
+def _inline_odd_period_rescue(a, r, n):
+    """odd_period_rescue as it was written before _split_at."""
+    if r < 1 or r % 2 == 0:
+        raise DomainError("rescue applies to odd periods only")
+    if pow(a, r, n) != 1:
+        raise DomainError(f"{a}**{r} is not 1 mod {n}: not a period")
+    b = math.isqrt(a)
+    if b * b != a:
+        return None
+    x = pow(b, r, n)
+    g1 = math.gcd((x - 1) % n, n)
+    g2 = math.gcd(x + 1, n)
+    if 1 < g1 < n and 1 < g2 < n:
+        lo, hi = sorted((g1, g2))
+        return lo, hi
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+@pytest.mark.parametrize("n", [15, 21, 33, 35, 39, 51, 55, 57, 91])
+def test_shared_split_matches_the_inline_splits(n):
+    # every unit, at its order and at 2, 3 and 4 times it: odd multiples
+    # reach the rescue (or its refusal), even ones the x = n-1 dead end
+    for a in range(1, n):
+        if math.gcd(a, n) != 1:
+            continue
+        order = numtheory.multiplicative_order(a, n)
+        for r in (order, 2 * order, 3 * order, 4 * order):
+            for new, old in ((derive_factors, _inline_derive_factors),
+                             (odd_period_rescue, _inline_odd_period_rescue)):
+                assert _outcome(new, a, r, n) == _outcome(old, a, r, n), \
+                    (new.__name__, a, r, n)
+
+
 def _oracle_decision(a: int, y: int, s_pow: int, n: int):
     """Independent route: same contract as extract_period+derive_factors,
     built from Fraction/pow/math.gcd with its own convergent loop."""
@@ -509,6 +569,18 @@ def test_honest_s_override_is_checked_before_anything_runs(n, seed, s,
     with pytest.raises(error) as refused:
         run_full_algorithm(Semiprime(n), seed=seed, s_override=s)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("mode, n", [
+    ("honest", Semiprime(8191)),
+    ("compiled", Semiprime.from_factors(3, 5)),
+    ("coin", Semiprime.from_factors(3, 5)),
+], ids=["honest-prime", "compiled", "coin"])
+def test_negative_seed_is_refused_before_anything_runs(mode, n):
+    # 8191 is prime, which the honest pre-steps would refuse first
+    with pytest.raises(DomainError) as refused:
+        run_full_algorithm(n, mode=mode, seed=-3)
+    assert str(refused.value) == "seed must be nonnegative, got -3"
 
 
 class TestFactorReport:
