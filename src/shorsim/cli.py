@@ -5,11 +5,12 @@ compilation, circuit dumps, seeded single-shot simulation, exact output
 distributions, full factoring runs, the coin demo, and verification of
 the shipped large-number fixtures.
 
-Conventions: decimal-only integer flags (hex is rejected), JSON on
-standard output with sorted keys, arbitrarily large integers rendered
-as decimal strings, a machine-readable error object on standard error
-when something fails. Exit codes: 0 success, 2 usage or bad input,
-3 verification failure, 4 refused-as-too-large.
+Conventions: flags spelled in full (abbreviations are refused),
+decimal-only integer flags (hex is rejected), JSON on standard output
+with sorted keys, arbitrarily large integers rendered as decimal
+strings, a machine-readable error object on standard error when
+something fails. Exit codes: 0 success, 2 usage or bad input, 3
+verification failure, 4 refused-as-too-large.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .compiler import (
 from .errors import DomainError, RefusedTooLargeError, VerificationError
 from .fixtures import load_fixture, verify_fixture
 from .numtheory import Semiprime, parse_decimal, to_decimal
-from .postprocess import DEFAULT_MAX_ATTEMPTS, run_full_algorithm
+from .postprocess import run_full_algorithm
 from .simulator import output_distribution, run_circuit
 
 _JSON_KW = {"indent": 2, "sort_keys": True}
@@ -178,13 +179,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_factor(args) -> int:
     sp = _semiprime_from_args(args)
-    report = run_full_algorithm(
-        sp,
-        mode=args.mode,
-        s_override=args.s,
-        seed=args.seed,
-        max_attempts=args.max_attempts,
-    )
+    report = run_full_algorithm(sp, mode=args.mode, seed=args.seed)
     if args.format == "text":
         sys.stdout.write(report.render_text())
     else:
@@ -230,53 +225,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_qubits = sub.add_parser("qubits", help="qubit budget for a modulus")
+    p_qubits = sub.add_parser("qubits", help="qubit budget for a modulus",
+                              allow_abbrev=False)
     p_qubits.add_argument("--n", required=True)
     p_qubits.set_defaults(handler=_cmd_qubits)
 
-    p_cb = sub.add_parser("compile-base",
+    p_cb = sub.add_parser("compile-base", allow_abbrev=False,
                           help="both period-2 bases for known factors")
     p_cb.add_argument("--p", required=True)
     p_cb.add_argument("--q", required=True)
     p_cb.set_defaults(handler=_cmd_compile_base)
 
-    p_circuit = sub.add_parser("circuit", help="dump a circuit")
+    p_circuit = sub.add_parser("circuit", help="dump a circuit",
+                               allow_abbrev=False)
     _add_circuit_flags(p_circuit)
     p_circuit.add_argument("--format", choices=("text", "json"),
                            default="text")
     p_circuit.set_defaults(handler=_cmd_circuit)
 
-    p_sim = sub.add_parser("simulate", help="run one seeded shot")
+    p_sim = sub.add_parser("simulate", help="run one seeded shot",
+                           allow_abbrev=False)
     _add_circuit_flags(p_sim)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(handler=_cmd_simulate)
 
-    p_dist = sub.add_parser("dist", help="exact readout distribution")
+    p_dist = sub.add_parser("dist", help="exact readout distribution",
+                            allow_abbrev=False)
     _add_circuit_flags(p_dist)
     p_dist.set_defaults(handler=_cmd_dist)
 
-    p_factor = sub.add_parser("factor", help="full factoring run")
+    p_factor = sub.add_parser("factor", help="full factoring run",
+                              allow_abbrev=False)
     p_factor.add_argument("--n", default=None)
     p_factor.add_argument("--p", default=None)
     p_factor.add_argument("--q", default=None)
     p_factor.add_argument("--mode", choices=("honest", "compiled", "coin"),
                           default="honest")
-    p_factor.add_argument("--s", type=int, default=None)
     p_factor.add_argument("--seed", type=int, default=0)
-    p_factor.add_argument("--max-attempts", type=int,
-                          default=DEFAULT_MAX_ATTEMPTS)
     p_factor.add_argument("--format", choices=("json", "text"),
                           default="json")
     p_factor.set_defaults(handler=_cmd_factor)
 
-    p_coin = sub.add_parser("coin-demo", help="factor with a fair coin")
+    p_coin = sub.add_parser("coin-demo", help="factor with a fair coin",
+                            allow_abbrev=False)
     p_coin.add_argument("--p", required=True)
     p_coin.add_argument("--q", required=True)
     p_coin.add_argument("--tosses", type=int, default=10)
     p_coin.add_argument("--seed", type=int, default=0)
     p_coin.set_defaults(handler=_cmd_coin_demo)
 
-    p_ver = sub.add_parser("verify-supplementary",
+    p_ver = sub.add_parser("verify-supplementary", allow_abbrev=False,
                            help="check a shipped or external fixture")
     p_ver.add_argument("--fixture", required=True,
                        help="packaged fixture name, else a directory path")

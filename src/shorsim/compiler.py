@@ -133,22 +133,6 @@ def _gate_lines(modulus: int, base: int, s: int) -> Iterator[tuple]:
         yield ("MEAS", k - 1)
 
 
-def check_readout_stages(s: int) -> int:
-    """s, if a circuit may have s readout stages.
-
-    Fewer than one is DomainError; more than MAX_READOUT_STAGES is
-    refused with RefusedTooLargeError, before any orbit is walked.
-    """
-    if s < 1:
-        raise DomainError("need at least one readout stage")
-    if s > MAX_READOUT_STAGES:
-        raise RefusedTooLargeError(
-            f"s = {s} readout stages exceeds the limit of "
-            f"{MAX_READOUT_STAGES} stages"
-        )
-    return s
-
-
 @dataclass(frozen=True)
 class Circuit:
     """A staged readout circuit over one control qubit + work register.
@@ -161,7 +145,8 @@ class Circuit:
     bounded baby-step giant-step search, and the number of columns the
     simulator allocates. The orbit's values are not kept. The checks
     run in order: n >= 2, 0 <= a < n, gcd(a, n) = 1, then the stage
-    count (check_readout_stages), all before the orbit is walked.
+    count (at least one, at most MAX_READOUT_STAGES), all before the
+    orbit is walked.
     """
 
     modulus: int
@@ -180,7 +165,13 @@ class Circuit:
                 f"factor should have been taken classically instead of "
                 f"building a circuit"
             )
-        check_readout_stages(self.num_readout_bits)
+        if self.num_readout_bits < 1:
+            raise DomainError("need at least one readout stage")
+        if self.num_readout_bits > MAX_READOUT_STAGES:
+            raise RefusedTooLargeError(
+                f"s = {self.num_readout_bits} readout stages exceeds the "
+                f"limit of {MAX_READOUT_STAGES} stages"
+            )
         object.__setattr__(self, "work_register_span",
                            work_orbit(self.modulus, self.base))
 

@@ -21,8 +21,6 @@ from .compiler import (
     QubitBudget,
     build_compiled_circuit,
     build_semiclassical_stages,
-    check_readout_stages,
-    default_s,
     find_period2_base,
     zalka_qubit_count,
 )
@@ -285,15 +283,10 @@ def canonical_mode(mode: str) -> str:
         ) from None
 
 
-def _normalized_factors(g: int, n: int) -> tuple[int, int]:
-    lo, hi = sorted((g, n // g))
-    return lo, hi
-
-
 def _prime_split(g: int, n: int) -> tuple[int, int]:
     """The split g x n/g of an honest run, refused unless both parts are
     prime: anything else means n is not a product of two primes."""
-    lo, hi = _normalized_factors(g, n)
+    lo, hi = sorted((g, n // g))
     for part in (lo, hi):
         if not is_probable_prime(part):
             raise DomainError(
@@ -343,23 +336,20 @@ def _report_note(mode: str, n: int, period: Optional[int],
 def run_full_algorithm(
     sp: Semiprime,
     mode: str = "honest",
-    s_override: Optional[int] = None,
     seed: int = 0,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> FactorReport:
     """The whole loop: pick a base, run the circuit, recover the period,
     derive factors, retry on dead ends.
 
-    Honest mode checks s_override first (check_readout_stages), so a
-    bad one fails whatever bases the seed draws. It then refuses an n
-    above AUTO_PRIMALITY_BIT_LIMIT bits and a prime or perfect-power n,
-    draws bases uniformly from [2, n-2], simulates the staged circuit
-    with s = s_override or default_s(n), and refuses a split with a
-    composite part. Its only quantum size guard is the period: a base
-    whose order exceeds MAX_WORK_SPAN ends the run with
+    Honest mode refuses an n above AUTO_PRIMALITY_BIT_LIMIT bits and a
+    prime or perfect-power n, draws bases uniformly from [2, n-2],
+    simulates the staged circuit with s = default_s(n), and refuses a
+    split with a composite part. Its only quantum size guard is the
+    period: a base whose order exceeds MAX_WORK_SPAN ends the run with
     RefusedTooLargeError, whatever the size of n.
     Compiled and coin modes build the one-stage circuit of the CRT
-    period-2 base once (factors required, s_override refused).
+    period-2 base once (factors required).
     Compiled mode simulates it; coin mode reads y = 1 on heads of a
     PCG64 coin seeded with seed. Every mode refuses a negative seed
     before any pre-step. Deterministic per seed; exhausting
@@ -376,8 +366,6 @@ def run_full_algorithm(
         raise DomainError(f"seed must be nonnegative, got {seed}")
 
     if mode == MODE_HONEST:
-        s = (default_s(n) if s_override is None
-             else check_readout_stages(s_override))
         # the quantum size guard is work_orbit's, on each base's period;
         # this one bounds the pre-steps, whose cost grows with n
         if n.bit_length() > AUTO_PRIMALITY_BIT_LIMIT:
@@ -400,11 +388,6 @@ def run_full_algorithm(
                 f"two distinct primes"
             )
     else:
-        if s_override is not None:
-            raise DomainError(
-                "--s (s_override) applies to honest mode only; compiled "
-                "and coin runs read one stage"
-            )
         circuit = build_compiled_circuit(find_period2_base(sp))
         a = circuit.base
 
@@ -431,7 +414,7 @@ def run_full_algorithm(
                     period=None, multiplier=None, outcome="gcd-shortcut",
                 ))
                 break
-            circuit = build_semiclassical_stages(a, n, s)
+            circuit = build_semiclassical_stages(a, n)
 
         if mode == MODE_COIN:
             y = int(coin.random() < 0.5)  # heads
@@ -447,10 +430,9 @@ def run_full_algorithm(
             multiplier=candidate and candidate.multiplier, outcome=outcome,
         ))
         if split:
-            if mode == MODE_HONEST:
-                factors = _prime_split(split[0], n)
-            else:  # the CRT base splits n into its validated p and q
-                factors = _normalized_factors(split[0], n)
+            # the CRT base splits n into its validated p and q
+            factors = (_prime_split(split[0], n) if mode == MODE_HONEST
+                       else split)
             period = r
             break
 

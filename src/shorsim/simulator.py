@@ -45,8 +45,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Exact enumeration refuses beyond these. The readout cap keeps the
-# dense outcome vector a desk-scale object; it is the oracle's only
-# guard, since the oracle's cost is two 2**s-point FFTs whatever r is.
+# dense outcome vector a desk-scale object. It bounds the oracle too,
+# whose 2**s-point FFTs cost the same whatever r is; the oracle's other
+# guard is its order scan, multiplicative_order, which refuses
+# n >= ORDER_SCAN_LIMIT.
 # The cell cap bounds the 2**s * r cells of one branch enumeration and
 # is a time budget: the kernel holds one chunk of columns at a time, so
 # memory no longer binds. At the cap, output_distribution took
@@ -280,9 +282,9 @@ def control_reduced_density(circuit: Circuit) -> np.ndarray:
     weights w: rho00 = sum w(1 + cos theta_s)/2, rho11 =
     sum w(1 - cos theta_s)/2 and rho01 = (i/2) sum w sin theta_s.
     """
+    _check_enumeration_guards(circuit)
     import numpy as np
 
-    _check_enumeration_guards(circuit)
     total, cos_sum, sin_sum = _kernels.last_stage_sums(
         circuit.stage_shifts, circuit.work_register_span)
     return np.array([[0.5 * (total + cos_sum), 0.5j * sin_sum],

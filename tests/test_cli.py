@@ -251,6 +251,17 @@ class TestDist:
         assert code == 4
         assert json.loads(err)["error"]["type"] == "RefusedTooLargeError"
 
+    def test_too_many_cells_refused(self, capsys):
+        # r = 32759, so 2**11 * r = 67090432 cells, past MAX_DIST_CELLS
+        code, out, err = run_cli(capsys, "dist", "--kind", "semiclassical",
+                                 "--a", "2", "--n", "65519", "--s", "11")
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == {
+            "type": "RefusedTooLargeError",
+            "message": "exact enumeration refused: 67090432 amplitude "
+                       "cells exceeds 33554432",
+        }
+
     def test_long_orbit_refusal_names_the_base(self, capsys):
         n = str((1 << 61) - 1)
         code, out, err = run_cli(capsys, "dist", "--kind", "semiclassical",
@@ -309,8 +320,7 @@ class TestFactor:
 
     def test_coin_mode(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "--p", "3", "--q", "5",
-                               "--mode", "coin", "--seed", "0",
-                               "--max-attempts", "10")
+                               "--mode", "coin", "--seed", "0")
         assert code == 0
         payload = json.loads(out)
         assert payload["mode"] == "coin"
@@ -318,40 +328,38 @@ class TestFactor:
 
     @pytest.mark.parametrize("golden, argv", [
         ("factor_p3_q5_coin_seed5_attempts10.json",
-         ["--q", "5", "--mode", "coin", "--seed", "5",
-          "--max-attempts", "10"]),
-        ("factor_p3_q5_coin_seed415_attempts10.json",  # all tails
-         ["--q", "5", "--mode", "coin", "--seed", "415",
-          "--max-attempts", "10"]),
+         ["--q", "5", "--mode", "coin", "--seed", "5"]),
         ("factor_p3_q7_compiled_seed3.json",
          ["--q", "7", "--mode", "compiled", "--seed", "3"]),
-    ], ids=["coin", "coin-all-tails", "compiled"])
+    ], ids=["coin", "compiled"])
     def test_compiled_and_coin_output_is_pinned(self, capsys, golden, argv):
         code, out, err = run_cli(capsys, "factor", "--p", "3", *argv)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / golden).read_text()
 
-    @pytest.mark.parametrize("mode", ["compiled", "coin"])
-    @pytest.mark.parametrize("s", ["0", "9"])
-    def test_s_refused_outside_honest_mode(self, capsys, mode, s):
-        code, out, err = run_cli(capsys, "factor", "--p", "3", "--q", "5",
-                                 "--mode", mode, "--s", s)
-        assert (code, out) == (2, "")
-        error = json.loads(err)["error"]
-        assert error["type"] == "DomainError"
-        assert "--s (s_override) applies to honest mode only" \
-            in error["message"]
+    @pytest.mark.parametrize("modulus", [
+        ["--n", "15"],
+        ["--p", "3", "--q", "5", "--mode", "compiled"],
+        ["--p", "3", "--q", "5", "--mode", "coin"],
+    ], ids=["honest", "compiled", "coin"])
+    def test_takes_no_readout_size_attempt_count_or_abbreviation(
+            self, capsys, modulus):
+        # --s and --se would otherwise be read as abbreviations of --seed
+        for extra in (["--s", "8"], ["--max-attempts", "10"],
+                      ["--s", "3"], ["--se", "3"]):
+            code, out, err = run_cli(capsys, "factor", *modulus, *extra)
+            assert (code, out) == (2, ""), extra
+            assert f"unrecognized arguments: {' '.join(extra)}" in err
 
-    @pytest.mark.parametrize("s, code", [("0", 2), ("5000", 4)])
-    def test_honest_s_is_checked_whatever_the_seed(self, capsys, s, code):
-        # seed 3's first base on 15 is a gcd shortcut, seed 0's is not
-        shortcut = json.loads(run_cli(capsys, "factor", "--n", "15",
-                                      "--seed", "3")[1])
-        assert shortcut["gcd_shortcut"] is True
-        results = [run_cli(capsys, "factor", "--n", "15", "--seed", seed,
-                           "--s", s) for seed in ("0", "3")]
-        assert results[0] == results[1]
-        assert results[0][:2] == (code, "")
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "3"], "--p and --q must be given together"),
+        ([], "need --n, or --p with --q"),
+    ], ids=["p-without-q", "no-modulus"])
+    def test_needs_a_whole_modulus(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "factor", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "DomainError",
+                                            "message": message}
 
     def test_honest_orbit_guard(self, capsys):
         # 65537 x 274177: lambda = 70189056, and seed 0's first base
@@ -406,6 +414,16 @@ class TestCoinDemo:
         assert (code, err) == (0, "")
         assert out == \
             (GOLDEN / "coin_demo_p3_q5_tosses10_seed0.json").read_text()
+
+    def test_all_tails_report_is_pinned(self, capsys):
+        # seed 415 tosses ten tails: the report says no period was found
+        code, out, err = run_cli(capsys, "coin-demo", "--p", "3", "--q", "5",
+                                 "--tosses", "10", "--seed", "415")
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["factors"] is None
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == \
+            (GOLDEN / "factor_p3_q5_coin_seed415_attempts10.json").read_text()
 
     def test_deterministic(self, capsys):
         argv = ["coin-demo", "--p", "3", "--q", "5", "--tosses", "20",

@@ -234,6 +234,9 @@ class TestPrimality:
 
     @pytest.mark.parametrize("n", [
         2047, 3277, 4033, 4681, 8321, 3215031751, 3825123056546413051,
+        # squares of the Wieferich primes; the Lucas test refuses them
+        # at its perfect-square check
+        1093 ** 2, 3511 ** 2,
     ])
     def test_base2_strong_pseudoprimes_rejected(self, n):
         assert strong_base2(n)

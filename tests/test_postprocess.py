@@ -547,30 +547,6 @@ def test_compiled_circuit_is_built_once(monkeypatch, mode, seed):
     assert walks == [4]
 
 
-@pytest.mark.parametrize("mode", ["compiled", "coin"])
-@pytest.mark.parametrize("s", [0, 1, 9])
-def test_s_override_is_refused_outside_honest_mode(mode, s):
-    with pytest.raises(DomainError, match="honest mode only"):
-        run_full_algorithm(Semiprime.from_factors(3, 5), mode=mode,
-                           s_override=s)
-
-
-@pytest.mark.parametrize("n, seed", [(15, 3), (8191, 0)],
-                         ids=["gcd-shortcut-first", "prime"])
-@pytest.mark.parametrize("s, error, message", [
-    (0, DomainError, "need at least one readout stage"),
-    (5000, RefusedTooLargeError,
-     "s = 5000 readout stages exceeds the limit of 4096 stages"),
-], ids=["0", "5000"])
-def test_honest_s_override_is_checked_before_anything_runs(n, seed, s,
-                                                          error, message):
-    # seed 3's first base on 15 is a gcd shortcut, so no circuit is
-    # built; 8191 is prime, which the pre-steps would refuse
-    with pytest.raises(error) as refused:
-        run_full_algorithm(Semiprime(n), seed=seed, s_override=s)
-    assert str(refused.value) == message
-
-
 @pytest.mark.parametrize("mode, n", [
     ("honest", Semiprime(8191)),
     ("compiled", Semiprime.from_factors(3, 5)),
@@ -617,6 +593,23 @@ class TestFactorReport:
         text = rep.render_text()
         assert text.splitlines()[0].startswith("HONESTY")
         assert "period" in text
+
+    def test_text_of_an_exhausted_run_says_none_found(self):
+        rep = run_full_algorithm(Semiprime.from_factors(3, 5),
+                                 mode="compiled", seed=1, max_attempts=1)
+        assert rep.factors is None
+        lines = rep.render_text().splitlines()
+        assert "factors  none found" in lines
+        assert "period   none" in lines
+
+    def test_text_shortens_long_decimals(self):
+        fx = load_fixture("rsa768")
+        rep = run_full_algorithm(Semiprime.from_factors(fx.p, fx.q),
+                                 mode="compiled", seed=7)
+        digits = str(fx.n)
+        assert len(digits) == 232
+        assert (f"modulus  {digits[:12]}...{digits[-12:]} (232 digits)"
+                in rep.render_text().splitlines())
 
     def test_honesty_note_states_both_bit_lengths(self):
         note = compose_honesty_note(15, 4)

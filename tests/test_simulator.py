@@ -28,6 +28,7 @@ from shorsim.errors import DomainError, RefusedTooLargeError, SimulationError
 from shorsim.numtheory import Semiprime, multiplicative_order
 from shorsim.postprocess import DEFAULT_MAX_ATTEMPTS
 from shorsim.simulator import (
+    MAX_DIST_CELLS,
     MAX_DIST_READOUT_BITS,
     OutcomeDistribution,
     control_reduced_density,
@@ -546,9 +547,29 @@ class TestGuards:
         oracle = dft_oracle_distribution(n - 1, n, 2)
         assert total_variation(dist, oracle) < 1e-9
 
+    @pytest.mark.parametrize("exact_route", [output_distribution,
+                                             control_reduced_density])
+    def test_too_many_cells(self, exact_route):
+        # r = 32759, so 2**11 * r = 67090432 cells, past MAX_DIST_CELLS
+        circuit = build_semiclassical_stages(2, 65519, 11)
+        assert circuit.work_register_span == 32759
+        with pytest.raises(RefusedTooLargeError) as refused:
+            exact_route(circuit)
+        assert str(refused.value) == (
+            "exact enumeration refused: 67090432 amplitude cells exceeds "
+            f"{MAX_DIST_CELLS}"
+        )
+
     def test_oracle_refuses_readout_bits_past_the_cap(self):
         with pytest.raises(RefusedTooLargeError):
             dft_oracle_distribution(7, 15, MAX_DIST_READOUT_BITS + 1)
+
+    def test_oracle_refuses_what_the_order_scan_refuses(self):
+        with pytest.raises(RefusedTooLargeError) as refused:
+            dft_oracle_distribution(2, 2**25 + 1, 4)
+        assert str(refused.value) == (
+            "order scan refused: n has 26 bits, limit is 24"
+        )
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_oracle_refuses_modulus_below_two(self, n):
