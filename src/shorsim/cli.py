@@ -216,46 +216,50 @@ def _cmd_verify_supplementary(args) -> int:
     return 0
 
 
+def _add_subcommand(sub, name: str, handler, help: str):
+    """A subcommand parser that refuses abbreviated flags and keeps
+    itself in the namespace, to report flags it does not know."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.set_defaults(handler=handler, subparser=parser)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shorsim",
         description="Factoring-demonstration toolkit: honest simulation "
                     "of short periods, the compiled shortcut, and the coin "
                     "toss it reduces to.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_qubits = sub.add_parser("qubits", help="qubit budget for a modulus",
-                              allow_abbrev=False)
+    p_qubits = _add_subcommand(sub, "qubits", _cmd_qubits,
+                               "qubit budget for a modulus")
     p_qubits.add_argument("--n", required=True)
-    p_qubits.set_defaults(handler=_cmd_qubits)
 
-    p_cb = sub.add_parser("compile-base", allow_abbrev=False,
-                          help="both period-2 bases for known factors")
+    p_cb = _add_subcommand(sub, "compile-base", _cmd_compile_base,
+                           "both period-2 bases for known factors")
     p_cb.add_argument("--p", required=True)
     p_cb.add_argument("--q", required=True)
-    p_cb.set_defaults(handler=_cmd_compile_base)
 
-    p_circuit = sub.add_parser("circuit", help="dump a circuit",
-                               allow_abbrev=False)
+    p_circuit = _add_subcommand(sub, "circuit", _cmd_circuit,
+                                "dump a circuit")
     _add_circuit_flags(p_circuit)
     p_circuit.add_argument("--format", choices=("text", "json"),
                            default="text")
-    p_circuit.set_defaults(handler=_cmd_circuit)
 
-    p_sim = sub.add_parser("simulate", help="run one seeded shot",
-                           allow_abbrev=False)
+    p_sim = _add_subcommand(sub, "simulate", _cmd_simulate,
+                            "run one seeded shot")
     _add_circuit_flags(p_sim)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.set_defaults(handler=_cmd_simulate)
 
-    p_dist = sub.add_parser("dist", help="exact readout distribution",
-                            allow_abbrev=False)
+    p_dist = _add_subcommand(sub, "dist", _cmd_dist,
+                             "exact readout distribution")
     _add_circuit_flags(p_dist)
-    p_dist.set_defaults(handler=_cmd_dist)
 
-    p_factor = sub.add_parser("factor", help="full factoring run",
-                              allow_abbrev=False)
+    p_factor = _add_subcommand(sub, "factor", _cmd_factor,
+                               "full factoring run")
     p_factor.add_argument("--n", default=None)
     p_factor.add_argument("--p", default=None)
     p_factor.add_argument("--q", default=None)
@@ -264,21 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--seed", type=int, default=0)
     p_factor.add_argument("--format", choices=("json", "text"),
                           default="json")
-    p_factor.set_defaults(handler=_cmd_factor)
 
-    p_coin = sub.add_parser("coin-demo", help="factor with a fair coin",
-                            allow_abbrev=False)
+    p_coin = _add_subcommand(sub, "coin-demo", _cmd_coin_demo,
+                             "factor with a fair coin")
     p_coin.add_argument("--p", required=True)
     p_coin.add_argument("--q", required=True)
     p_coin.add_argument("--tosses", type=int, default=10)
     p_coin.add_argument("--seed", type=int, default=0)
-    p_coin.set_defaults(handler=_cmd_coin_demo)
 
-    p_ver = sub.add_parser("verify-supplementary", allow_abbrev=False,
-                           help="check a shipped or external fixture")
+    p_ver = _add_subcommand(sub, "verify-supplementary",
+                            _cmd_verify_supplementary,
+                            "check a shipped or external fixture")
     p_ver.add_argument("--fixture", required=True,
                        help="packaged fixture name, else a directory path")
-    p_ver.set_defaults(handler=_cmd_verify_supplementary)
 
     return parser
 
@@ -286,7 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # parse_args would report a stray flag with the top-level usage
+        args, stray = parser.parse_known_args(argv)
+        if stray:
+            args.subparser.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

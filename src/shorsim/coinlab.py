@@ -80,7 +80,8 @@ def coin_factor_demo(sp: Semiprime, n_tosses: int,
                                 max_attempts=n_tosses)
     n_bits = sp.n.bit_length()
     label = to_decimal(sp.n) if n_bits <= 64 else f"{n_bits}-bit semiprime"
-    # imported here, so a process that tosses nothing never loads numpy
+    # imported here: the report's coin comes from _pcg64, so only the
+    # series count, which numpy draws a block at a time, loads numpy
     import numpy as np
 
     # counted in blocks: the same stream as one draw, in memory that

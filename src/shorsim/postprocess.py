@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ._pcg64 import random_stream
 from .compiler import (
     QubitBudget,
     build_compiled_circuit,
@@ -350,11 +351,12 @@ def run_full_algorithm(
     RefusedTooLargeError, whatever the size of n.
     Compiled and coin modes build the one-stage circuit of the CRT
     period-2 base once (factors required).
-    Compiled mode simulates it; coin mode reads y = 1 on heads of a
-    PCG64 coin seeded with seed. Every mode refuses a negative seed
-    before any pre-step. Deterministic per seed; exhausting
-    max_attempts yields a report with factors = None rather than an
-    exception.
+    Compiled mode simulates it in scalars; coin mode reads y = 1 on
+    heads of a PCG64 coin seeded with seed, drawn from _pcg64's
+    pure-Python copy of numpy's stream, so neither mode loads numpy.
+    Every mode refuses a negative seed before any pre-step.
+    Deterministic per seed; exhausting max_attempts yields a report
+    with factors = None rather than an exception.
     """
     mode = canonical_mode(mode)
     n = sp.n
@@ -396,8 +398,7 @@ def run_full_algorithm(
     from .simulator import run_circuit
 
     if mode == MODE_COIN:
-        import numpy as np
-        coin = np.random.Generator(np.random.PCG64(seed))
+        coin = random_stream(seed)
     else:
         master = random.Random(seed)
     details: list[AttemptRecord] = []
@@ -417,7 +418,7 @@ def run_full_algorithm(
             circuit = build_semiclassical_stages(a, n)
 
         if mode == MODE_COIN:
-            y = int(coin.random() < 0.5)  # heads
+            y = int(next(coin) < 0.5)  # heads
         else:
             y, _ = run_circuit(circuit, master.getrandbits(63))
         candidate = extract_period(y, 1 << circuit.num_readout_bits, a, n)

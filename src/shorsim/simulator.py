@@ -12,7 +12,8 @@ In this basis each controlled multiply is a cyclic shift of the columns
 measurement collapses mid-circuit and the classical bits feed the later
 phase gates. A stage costs a fixed handful of passes over two (2, r)
 buffers and two block norms, and the shot's uniforms are drawn once,
-up front, from its seeded stream.
+up front, from its seeded stream. A one-stage shot, the compiled
+circuit's, is a few scalar operations and loads no numpy.
 
 The exact routes, output_distribution and control_reduced_density,
 enumerate every measurement branch in the Fourier basis of Z_r instead,
@@ -35,12 +36,13 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _kernels
+from ._pcg64 import random_stream
 from .compiler import Circuit
 from .errors import DomainError, RefusedTooLargeError, SimulationError
 from .numtheory import multiplicative_order
 
 # numpy is imported inside the functions that use it, so a process
-# that simulates nothing never loads it.
+# that simulates nothing, or only one-stage shots, never loads it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -139,7 +141,14 @@ def run_circuit(circuit: Circuit,
     buffers. The s uniforms that pick the outcomes are drawn in one
     call, from the same PCG64 stream, value for value, as one draw per
     stage.
+
+    A one-stage circuit (every compiled circuit) takes a scalar path
+    with the same floats: its two block norms are sums of two equal
+    squares, and its uniform is the first double of _pcg64's copy of
+    that stream, so it never loads numpy.
     """
+    if circuit.num_readout_bits == 1:
+        return _one_stage_shot(circuit, seed)
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -182,9 +191,7 @@ def run_circuit(circuit: Circuit,
         np.multiply(post_parts, _INV_SQRT2, out=post_parts)
         p0 = float(np.vdot(post0, post0).real)
         p1 = float(np.vdot(post1, post1).real)
-        total = p0 + p1
-        if not abs(total - 1.0) <= NORM_TOLERANCE:  # NaN fails too
-            raise SimulationError(f"state norm drifted to {total}")
+        _check_norm(p0 + p1)
         outcome = 1 if uniform < p1 else 0
         # renormalise by the kept block's own norm, not by its odds, so
         # rounding error cannot grow by 1/p over unlikely outcomes
@@ -194,6 +201,31 @@ def run_circuit(circuit: Circuit,
         prefix |= outcome << (stage - 1)
         records.append(StageRecord(stage, multiplier, phase, p1, outcome))
     return prefix, tuple(records)
+
+
+def _one_stage_shot(circuit: Circuit,
+                    seed: int) -> tuple[int, tuple[StageRecord, ...]]:
+    """run_circuit for s = 1, in scalars and without numpy.
+
+    From residue 1, PREP+ and the Hadamard leave c = (1/sqrt 2)(1/sqrt 2)
+    in each block at columns 0 and t_1 = 1 mod r, so each block norm is
+    c*c + c*c, the sum numpy's passes form. At r = 1 the shift is 0: the
+    control-|0> block holds 2c in column 0 and the other block is zero.
+    The uniform is the first double of the same PCG64 stream.
+    """
+    c = _INV_SQRT2 * _INV_SQRT2
+    if circuit.work_register_span == 1:
+        p0, p1 = (2.0 * c) * (2.0 * c), 0.0
+    else:
+        p0 = p1 = c * c + c * c
+    _check_norm(p0 + p1)
+    bit = 1 if next(random_stream(seed)) < p1 else 0
+    return bit, (StageRecord(1, circuit.base, 0.0, p1, bit),)
+
+
+def _check_norm(total: float) -> None:
+    if not abs(total - 1.0) <= NORM_TOLERANCE:  # NaN fails too
+        raise SimulationError(f"state norm drifted to {total}")
 
 
 def _check_readout_bits(s: int) -> None:

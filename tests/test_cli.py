@@ -327,7 +327,7 @@ class TestFactor:
         assert payload["factors"] == ["3", "5"]
 
     @pytest.mark.parametrize("golden, argv", [
-        ("factor_p3_q5_coin_seed5_attempts10.json",
+        ("factor_p3_q5_coin_seed5.json",
          ["--q", "5", "--mode", "coin", "--seed", "5"]),
         ("factor_p3_q7_compiled_seed3.json",
          ["--q", "7", "--mode", "compiled", "--seed", "3"]),
@@ -422,8 +422,9 @@ class TestCoinDemo:
         assert (code, err) == (0, "")
         report = json.loads(out)["report"]
         assert report["factors"] is None
+        golden = GOLDEN / "coin_demo_p3_q5_tosses10_seed415_report.json"
         assert json.dumps(report, indent=2, sort_keys=True) + "\n" == \
-            (GOLDEN / "factor_p3_q5_coin_seed415_attempts10.json").read_text()
+            golden.read_text()
 
     def test_deterministic(self, capsys):
         argv = ["coin-demo", "--p", "3", "--q", "5", "--tosses", "20",
@@ -533,6 +534,26 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+    def test_top_level_flags_are_not_abbreviated(self, capsys):
+        # --he would otherwise be read as --help
+        code, out, err = run_cli(capsys, "--he")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: shorsim [-h]")
+
+    @pytest.mark.parametrize("argv, prog, stray", [
+        (["factor", "--n", "15", "--s", "3"], "shorsim factor", "--s 3"),
+        (["simulate", "--kind", "compiled", "--p", "3", "--q", "5",
+          "--bogus"], "shorsim simulate", "--bogus"),
+        (["qubits", "--n", "15", "extra"], "shorsim qubits", "extra"),
+    ], ids=["factor", "simulate", "qubits"])
+    def test_stray_argument_is_reported_by_its_subcommand(
+            self, capsys, argv, prog, stray):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.endswith(
+            f"\n{prog}: error: unrecognized arguments: {stray}\n")
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

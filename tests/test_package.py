@@ -87,6 +87,18 @@ def test_calls_that_simulate_nothing_never_load_numpy(argv, code):
                                    "numpy": [False, False, False]}
 
 
+@pytest.mark.parametrize("argv", [
+    ["factor", "--p", "3", "--q", "5", "--mode", "compiled"],
+    ["factor", "--p", "3", "--q", "5", "--mode", "coin"],
+    ["simulate", "--kind", "compiled", "--p", "3", "--q", "5"],
+], ids=["factor-compiled", "factor-coin", "simulate-compiled"])
+def test_one_stage_runs_never_load_numpy(argv):
+    # the compiled circuit is one stage, sampled in scalars, and the coin
+    # is the pure-Python PCG64 stream
+    assert _numpy_loaded(argv) == {"code": 0,
+                                   "numpy": [False, False, False]}
+
+
 def test_simulate_loads_numpy():
     argv = ["simulate", "--kind", "semiclassical", "--a", "7", "--n", "15",
             "--s", "3", "--seed", "0"]

@@ -503,6 +503,28 @@ class TestRunCircuitMatchesReference:
             assert [(rec.stage, rec.multiplier, rec.phase, rec.p_one,
                      rec.bit) for rec in records] == ref_records
 
+    @pytest.mark.parametrize("a,n,r", [(1, 15, 1), (4, 15, 2), (14, 15, 2)])
+    def test_one_stage_scalars_are_bit_identical(self, a, n, r):
+        # s = 1 takes the scalar path: r = 1 has shift 0 and p_one = 0,
+        # r = 2 is the compiled circuit's shape
+        circuit = build_semiclassical_stages(a, n, 1)
+        assert circuit.work_register_span == r
+        draw = random.Random(a * n)
+        seeds = list(range(100)) + [draw.getrandbits(63) for _ in range(100)]
+        for seed in seeds:
+            y, records = run_circuit(circuit, seed)
+            ref_y, ref_records = reference_run_circuit(circuit, seed)
+            assert y == ref_y
+            assert [(rec.stage, rec.multiplier, rec.phase, rec.p_one,
+                     rec.bit) for rec in records] == ref_records
+        if r > 1:
+            assert {run_circuit(circuit, seed)[0] for seed in seeds} == {0, 1}
+
+    def test_one_stage_keeps_the_norm_check(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_INV_SQRT2", 0.75)
+        with pytest.raises(SimulationError, match="norm drifted to 1.26"):
+            run_circuit(build_semiclassical_stages(4, 15, 1), 0)
+
 
 class TestStageRecord:
     def test_fields_in_order(self):
