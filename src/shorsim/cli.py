@@ -137,7 +137,7 @@ def _cmd_circuit(args) -> int:
     if args.format == "text":
         sys.stdout.write(circuit.to_text())
     else:
-        print(circuit.to_json())
+        _print_json(circuit.to_json_dict())
     return 0
 
 
@@ -287,11 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        # parse_args would report a stray flag with the top-level usage
+        # parse_args would report a stray flag with the top-level usage;
+        # shorsim itself takes only -h, so anything before the
+        # subcommand is stray there
         args, stray = parser.parse_known_args(argv)
         if stray:
-            args.subparser.error(f"unrecognized arguments: {' '.join(stray)}")
+            owner = (parser if argv.index(args.command) > 0
+                     else args.subparser)
+            owner.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -4,19 +4,21 @@ The compiled two-qubit circuit's readout is an unbiased bit, so a fair
 coin is a drop-in replacement: heads plays y = 1 (period recovered),
 tails plays y = 0 (try again). The replacement runs inside
 postprocess.run_full_algorithm as its coin mode; this module counts a
-toss series with one-sigma binomial error bars and provides the
-chi-square helpers the statistical checks lean on.
+series of the same tosses, postprocess.coin_tosses, in pure Python
+with one-sigma binomial error bars, and provides the chi-square helpers
+the statistical checks lean on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .errors import DomainError
 from .numtheory import Semiprime, to_decimal
-from .postprocess import FactorReport, run_full_algorithm
+from .postprocess import FactorReport, coin_tosses, run_full_algorithm
 
 # chi-square critical value, 1 degree of freedom, significance 0.001
 CHI2_1DOF_P999 = 10.8276
@@ -70,9 +72,10 @@ def coin_factor_demo(sp: Semiprime, n_tosses: int,
     attempts: the first heads is read as y = 1 from the compiled
     circuit, giving period 2 and the factors via the CRT base, and all
     tails means no period this series. The CoinRun counts the whole
-    series of n_tosses from the same seeded stream, tosses after the
-    first heads included. Requires known factors, exactly like the
-    compiled pipeline it shadows.
+    series of n_tosses from the same coin_tosses(seed), tosses after the
+    first heads included, one at a time, so its memory does not grow
+    with n_tosses. Requires known factors, exactly like the compiled
+    pipeline it shadows.
     """
     if n_tosses < 1:
         raise DomainError("a coin run needs at least one toss")
@@ -80,16 +83,7 @@ def coin_factor_demo(sp: Semiprime, n_tosses: int,
                                 max_attempts=n_tosses)
     n_bits = sp.n.bit_length()
     label = to_decimal(sp.n) if n_bits <= 64 else f"{n_bits}-bit semiprime"
-    # imported here: the report's coin comes from _pcg64, so only the
-    # series count, which numpy draws a block at a time, loads numpy
-    import numpy as np
-
-    # counted in blocks: the same stream as one draw, in memory that
-    # does not grow with n_tosses
-    rng = np.random.Generator(np.random.PCG64(seed))
-    heads, block = 0, 1 << 16
-    for start in range(0, n_tosses, block):
-        heads += int((rng.random(min(block, n_tosses - start)) < 0.5).sum())
+    heads = sum(islice(coin_tosses(seed), n_tosses))
     return CoinRun(label, n_tosses, heads), report
 
 

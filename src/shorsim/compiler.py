@@ -30,7 +30,6 @@ residues themselves are never stored.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator, Optional
@@ -205,9 +204,6 @@ class Circuit:
             "gates": [{"gate": kind, **dict(zip(_GATE_ARGS[kind], args))}
                       for kind, *args in lines],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

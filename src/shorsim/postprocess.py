@@ -247,11 +247,11 @@ class FactorReport:
         return "\n".join(lines) + "\n"
 
 
-def _short_decimal(value: int, head: int = 12, tail: int = 12) -> str:
+def _short_decimal(value: int) -> str:
     text = to_decimal(value)
-    if len(text) <= head + tail + 3:
+    if len(text) <= 27:  # no longer than 12 digits, "..." and 12 digits
         return text
-    return f"{text[:head]}...{text[-tail:]} ({len(text)} digits)"
+    return f"{text[:12]}...{text[-12:]} ({len(text)} digits)"
 
 
 def compose_honesty_note(n: int, period: Optional[int],
@@ -334,6 +334,13 @@ def _report_note(mode: str, n: int, period: Optional[int],
     )
 
 
+def coin_tosses(seed: int):
+    """Endless fair-coin tosses, 1 for heads: a double of
+    random_stream(seed) below 1/2. The compiled circuit's readout bit
+    is unbiased, so a toss plays its y."""
+    return (int(u < 0.5) for u in random_stream(seed))
+
+
 def run_full_algorithm(
     sp: Semiprime,
     mode: str = "honest",
@@ -352,8 +359,8 @@ def run_full_algorithm(
     Compiled and coin modes build the one-stage circuit of the CRT
     period-2 base once (factors required).
     Compiled mode simulates it in scalars; coin mode reads y = 1 on
-    heads of a PCG64 coin seeded with seed, drawn from _pcg64's
-    pure-Python copy of numpy's stream, so neither mode loads numpy.
+    heads of coin_tosses(seed), the coin that coinlab's series counts,
+    so neither mode loads numpy.
     Every mode refuses a negative seed before any pre-step.
     Deterministic per seed; exhausting max_attempts yields a report
     with factors = None rather than an exception.
@@ -398,7 +405,7 @@ def run_full_algorithm(
     from .simulator import run_circuit
 
     if mode == MODE_COIN:
-        coin = random_stream(seed)
+        tosses = coin_tosses(seed)
     else:
         master = random.Random(seed)
     details: list[AttemptRecord] = []
@@ -418,7 +425,7 @@ def run_full_algorithm(
             circuit = build_semiclassical_stages(a, n)
 
         if mode == MODE_COIN:
-            y = int(next(coin) < 0.5)  # heads
+            y = next(tosses)
         else:
             y, _ = run_circuit(circuit, master.getrandbits(63))
         candidate = extract_period(y, 1 << circuit.num_readout_bits, a, n)

@@ -555,6 +555,15 @@ class TestUsageErrors:
         assert err.endswith(
             f"\n{prog}: error: unrecognized arguments: {stray}\n")
 
+    def test_stray_argument_before_the_subcommand_is_reported_by_shorsim(
+            self, capsys):
+        # the top-level parser read --foo, so its usage is the one shown
+        code, out, err = run_cli(capsys, "--foo", "factor", "--n", "15")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: shorsim [-h]")
+        assert err.endswith(
+            "\nshorsim: error: unrecognized arguments: --foo\n")
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shorsim import postprocess
 from shorsim.coinlab import (
     CHI2_1DOF_P999,
     CoinRun,
@@ -79,13 +80,22 @@ class TestTossSeries:
         with pytest.raises(DomainError, match="seed must be nonnegative"):
             _toss_run(10, -1)
 
+    def test_heads_is_a_double_below_one_half(self, monkeypatch):
+        # the stream's doubles are multiples of 2**-53, so 1/2 is drawn
+        doubles = [0.5, 0.5 - 2**-53, 0.0, 0.75]
+        monkeypatch.setattr(postprocess, "random_stream",
+                            lambda seed: iter(doubles))
+        run, rep = coin_factor_demo(Semiprime.from_factors(3, 5), 4, 0)
+        assert run.heads == 2
+        assert [d.y for d in rep.attempt_details] == [0, 1]
+
     def test_long_run_frequency(self):
         run = _toss_run(100_000, 123)
         assert abs(run.p_hat - 0.5) < 4 * math.sqrt(0.25 / 100_000)
 
     def test_long_series_is_counted_in_blocks(self):
-        # one draw of 200 000 doubles holds 1.6 MB at once; blocks of
-        # 2**16 count the same stream in about a third of that
+        # one draw of 200 000 doubles holds 1.6 MB at once; the series
+        # is counted one toss at a time, from the same stream as numpy's
         tracemalloc.start()
         try:
             run = _toss_run(200_000, 4)

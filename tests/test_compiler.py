@@ -410,7 +410,8 @@ class TestSerialization:
         # each declared field is written as the plain int that agrees
         # with the gate list, never as a value that merely equals it
         circuit = build_semiclassical_stages(2, 33, 3)
-        document = circuit.to_json()
+        document = json.dumps(circuit.to_json_dict(), indent=2,
+                              sort_keys=True)
         payload = json.loads(document)
         declared = {"version": 1,
                     "num_readout_bits": len(payload["gates"]) // 4,

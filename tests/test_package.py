@@ -91,10 +91,11 @@ def test_calls_that_simulate_nothing_never_load_numpy(argv, code):
     ["factor", "--p", "3", "--q", "5", "--mode", "compiled"],
     ["factor", "--p", "3", "--q", "5", "--mode", "coin"],
     ["simulate", "--kind", "compiled", "--p", "3", "--q", "5"],
-], ids=["factor-compiled", "factor-coin", "simulate-compiled"])
+    ["coin-demo", "--p", "3", "--q", "5"],
+], ids=["factor-compiled", "factor-coin", "simulate-compiled", "coin-demo"])
 def test_one_stage_runs_never_load_numpy(argv):
     # the compiled circuit is one stage, sampled in scalars, and the coin
-    # is the pure-Python PCG64 stream
+    # and coin-demo's series are the pure-Python PCG64 stream
     assert _numpy_loaded(argv) == {"code": 0,
                                    "numpy": [False, False, False]}
 
