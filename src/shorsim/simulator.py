@@ -53,11 +53,13 @@ if TYPE_CHECKING:
 # n >= ORDER_SCAN_LIMIT.
 # The cell cap bounds the 2**s * r cells of one branch enumeration and
 # is a time budget: the kernel holds one chunk of columns at a time, so
-# memory no longer binds. At the cap, output_distribution took
-# 0.07-0.09 s at 35 MiB peak RSS for (a, n, s) = (2, 65519, 10), and
-# 0.22-0.30 s at 70 MiB peak RSS and a 38 MiB tracemalloc peak for
-# (19, 97, 20), r = 32, its slowest shape (2-CPU Intel Xeon,
-# Python 3.11, numpy 2.4).
+# memory no longer binds. It still counts all r columns, though the
+# kernel grows branches for r / gcd(r, 4) of them. At the cap,
+# output_distribution took 0.06-0.08 s at 33 MiB peak RSS for
+# (a, n, s) = (2, 65519, 10), r = 32759; 0.08-0.09 s for (19, 97, 20),
+# r = 32, now eight column classes; and 0.20-0.25 s at 69 MiB peak RSS
+# and a 38 MiB tracemalloc peak for (7, 311, 20), odd r = 31, its
+# slowest shape (2-CPU Intel Xeon, Python 3.11, numpy 2.4).
 MAX_DIST_READOUT_BITS = 20
 MAX_DIST_CELLS = 1 << 25
 

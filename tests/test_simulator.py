@@ -209,12 +209,35 @@ ORDER_BASES = {1: (1, 15), 2: (11, 15), 4: (7, 15), 10: (2, 33),
                32759: (2, 65519)}
 
 
+def _classes(circuit):
+    """Column classes the kernel grows branches for: columns
+    r / gcd(r, 2**L) apart share every stored stage, and with no stored
+    stage every column is one class."""
+    s, r = circuit.num_readout_bits, circuit.work_register_span
+    if s <= _kernels.FOLD_STAGES:
+        return 1
+    return r // math.gcd(r, 1 << _kernels.FOLD_STAGES)
+
+
 def _chunks(circuit):
     """Column chunks the kernel takes for a circuit, from CHUNK_CELLS."""
     s = circuit.num_readout_bits
     branches = 1 << (s - min(_kernels.FOLD_STAGES, s))
     chunk = max(1, _kernels.CHUNK_CELLS // branches)
-    return -(-circuit.work_register_span // chunk)
+    return -(-_classes(circuit) // chunk)
+
+
+def _count_branch_columns(monkeypatch):
+    """Patch branch_states_numpy to record each call's column count."""
+    calls = []
+    original = _kernels.branch_states_numpy
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "branch_states_numpy", counted)
+    return calls
 
 
 class TestFoldedStages:
@@ -232,13 +255,51 @@ class TestFoldedStages:
 
     @pytest.mark.parametrize("cells", [1, None])
     def test_zeros_off_the_comb_stay_exact(self, monkeypatch, cells):
-        # r = 4 divides 2**18; one cell per chunk forces one-column
-        # chunks, whose moments are outer products
+        # r divides 2**18; one cell per chunk forces one-column chunks,
+        # whose moments are outer products. r = 4 is one column class;
+        # r = 16 is four, which the default chunk multiplies by matmul
         if cells is not None:
             monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
-        dist = output_distribution(build_semiclassical_stages(8, 15, 18))
-        assert dist.support() == list(range(0, 1 << 18, 1 << 16))
-        assert np.abs(dist.as_array()[::1 << 16] - 0.25).max() < 1e-12
+        for a, n, r in ((8, 15, 4), (3, 17, 16)):
+            step = (1 << 18) // r
+            dist = output_distribution(build_semiclassical_stages(a, n, 18))
+            assert dist.support() == list(range(0, 1 << 18, step))
+            assert np.abs(dist.as_array()[::step] - 1 / r).max() < 1e-12
+
+    @pytest.mark.parametrize("cells", [1, None])
+    @pytest.mark.parametrize("a,n,r", [(3, 7, 6), (2, 33, 10), (7, 15, 4),
+                                       (2, 13, 12), (2, 17, 8), (3, 17, 16),
+                                       (11, 1009, 1008)])
+    def test_merged_columns_match_oracle(self, monkeypatch, a, n, r, cells):
+        # gcd(r, 4) is 2 or 4, so the kernel grows r / 2 or r / 4
+        # column classes; s runs from no stored stage to above log2 r
+        if cells is not None:
+            monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
+        for s in (2, 3, 5, 9, 12):
+            circuit = build_semiclassical_stages(a, n, s)
+            assert circuit.work_register_span == r
+            oracle = dft_oracle_distribution(a, n, s)
+            dist = output_distribution(circuit)
+            assert total_variation(dist, oracle) < 1e-9
+            last_bit_set = float(oracle.as_array()[1 << (s - 1):].sum())
+            rho = control_reduced_density(circuit)
+            assert abs(rho[1, 1].real - last_bit_set) < 1e-9
+            if s <= 5:
+                np.testing.assert_allclose(
+                    rho, exponent_basis_density(circuit), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a,n,s,classes", [(8, 15, 20, 1),
+                                               (3, 17, 18, 4),
+                                               (2, 33, 2, 1),
+                                               (2, 65519, 3, 32759)])
+    def test_one_tree_per_column_class(self, monkeypatch, a, n, s, classes):
+        # (8, 15, 20): r = 4 = gcd(4, 2**2), one column for 2**18
+        # branches; r = 16 has four classes. With no stored stage
+        # (s = 2) every column is one class; odd r = 32759 merges none
+        circuit = build_semiclassical_stages(a, n, s)
+        calls = _count_branch_columns(monkeypatch)
+        output_distribution(circuit)
+        assert sum(calls) == classes
 
     @pytest.mark.parametrize("a,n,s", [(2, 33, 9), (16, 337, 10),
                                        (2, 65519, 4)])
@@ -277,17 +338,10 @@ class TestFoldedStages:
             monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
         circuit = build_semiclassical_stages(a, n, s)
         want = output_distribution(circuit).as_array()
-        calls = []
-        original = _kernels.branch_states_numpy
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(_kernels, "branch_states_numpy", counted)
+        calls = _count_branch_columns(monkeypatch)
         got = output_distribution(circuit).as_array()
         assert len(calls) == _chunks(circuit) > 0
-        assert sum(calls) == circuit.work_register_span
+        assert sum(calls) == _classes(circuit)
         assert np.array_equal(got, want)
         control_reduced_density(circuit)
         assert len(calls) == 2 * _chunks(circuit)
