@@ -55,7 +55,6 @@ from .postprocess import (
     AttemptRecord,
     FactorReport,
     PeriodCandidate,
-    compose_honesty_note,
     derive_factors,
     extract_period,
     odd_period_rescue,
@@ -111,7 +110,6 @@ __all__ = [
     "AttemptRecord",
     "FactorReport",
     "PeriodCandidate",
-    "compose_honesty_note",
     "derive_factors",
     "extract_period",
     "odd_period_rescue",

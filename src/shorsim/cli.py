@@ -103,13 +103,7 @@ def _add_circuit_flags(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_qubits(args) -> int:
     n = _dec(args.n, "--n")
-    budget = zalka_qubit_count(n)
-    _print_json({
-        "n": to_decimal(n),
-        "n_bits": budget.n_bits,
-        "zalka_qubits": budget.zalka_qubits,
-        "compiled_qubits": budget.compiled_qubits,
-    })
+    _print_json({"n": to_decimal(n), **zalka_qubit_count(n).to_json_dict()})
     return 0
 
 

@@ -299,6 +299,13 @@ class QubitBudget:
     zalka_qubits: int
     compiled_qubits: ClassVar[int] = 2
 
+    def to_json_dict(self) -> dict:
+        return {
+            "n_bits": self.n_bits,
+            "zalka_qubits": self.zalka_qubits,
+            "compiled_qubits": self.compiled_qubits,
+        }
+
 
 def zalka_qubit_count(n: int) -> QubitBudget:
     """Qubit budget for factoring n: 2 + ceil(3*bits/2) vs a flat 2."""

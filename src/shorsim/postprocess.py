@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ._pcg64 import random_stream
@@ -34,6 +34,7 @@ from .numtheory import (
     is_probable_prime,
     to_decimal,
 )
+from .simulator import run_circuit
 
 # Small multiples of each convergent denominator tried during period
 # recovery; the measured y often encodes r/gcd(r, something) so a short
@@ -147,11 +148,14 @@ class AttemptRecord:
 
     index: int
     base: int
-    gcd_shortcut: bool
     y: Optional[int]
     period: Optional[int]
     multiplier: Optional[int]
     outcome: str  # gcd-shortcut | factored | no-period | period-without-factors
+
+    @property
+    def gcd_shortcut(self) -> bool:
+        return self.outcome == "gcd-shortcut"
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,32 +171,89 @@ class AttemptRecord:
 
 @dataclass(frozen=True)
 class FactorReport:
-    """Outcome of a full factoring run.
+    """Outcome of a full factoring run: the attempts and what they found.
 
     factors is None when every attempt came up empty; that is a normal
-    result, not an exception. attempt_details keeps the per-attempt
-    record that the summary fields compress.
+    result, not an exception, but factors are set exactly when the last
+    attempt split n. The summary fields (base_used, attempts,
+    gcd_shortcut, period_found, qubit_budget, honesty_note) are read
+    from n, mode and attempt_details, which must not be empty.
     """
 
     n: int
     factors: Optional[tuple[int, int]]
-    base_used: int
-    period_found: Optional[int]
-    attempts: int
     mode: str
-    qubit_budget: QubitBudget
     seed: int
-    honesty_note: str
-    gcd_shortcut: bool = False
-    attempt_details: tuple[AttemptRecord, ...] = field(default_factory=tuple)
+    attempt_details: tuple[AttemptRecord, ...]
 
     def __post_init__(self) -> None:
+        if not self.attempt_details:
+            raise DomainError("a report needs at least one attempt")
+        last = self.attempt_details[-1].outcome
+        if (self.factors is None) == (last in ("gcd-shortcut", "factored")):
+            raise DomainError(
+                f"factors {self.factors} disagree with the last attempt's "
+                f"outcome, {last}"
+            )
         if self.factors is not None:
             f1, f2 = self.factors
             if f1 * f2 != self.n or f1 <= 1 or f2 <= 1:
                 raise DomainError(
                     "reported factors must be nontrivial and multiply to n"
                 )
+
+    @property
+    def base_used(self) -> int:
+        return self.attempt_details[-1].base
+
+    @property
+    def attempts(self) -> int:
+        return len(self.attempt_details)
+
+    @property
+    def gcd_shortcut(self) -> bool:
+        return self.attempt_details[-1].gcd_shortcut
+
+    @property
+    def period_found(self) -> Optional[int]:
+        last = self.attempt_details[-1]
+        return last.period if last.outcome == "factored" else None
+
+    @property
+    def qubit_budget(self) -> QubitBudget:
+        return zalka_qubit_count(self.n)
+
+    @property
+    def honesty_note(self) -> str:
+        """The scorecard line: period size found versus modulus size;
+        coin runs word it as tosses."""
+        n_bits, period = self.n.bit_length(), self.period_found
+        intact = f"the {n_bits}-bit modulus remains intact"
+        if self.mode == MODE_COIN and period is None:
+            return (f"no heads in {self.attempts} tosses, so no period this "
+                    f"series; {intact}")
+        if self.mode == MODE_COIN:
+            return (
+                f"period found by coin toss: r = {period} "
+                f"({period.bit_length()} bits) against a {n_bits}-bit "
+                f"modulus; a fair coin replaced the circuit, and their "
+                f"outcome distributions are identical"
+            )
+        if period is not None:
+            r_bits = period.bit_length()
+            return (
+                f"period found: r = {period} ({r_bits} "
+                f"bit{'s' if r_bits != 1 else ''}) against a {n_bits}-bit "
+                f"modulus; the meaningful size here is the {r_bits}-bit "
+                f"period, not the {n_bits}-bit number"
+            )
+        if self.gcd_shortcut:
+            return (
+                f"factors fell out of a classical gcd; no period was "
+                f"measured, so nothing quantum is demonstrated on this "
+                f"{n_bits}-bit modulus"
+            )
+        return f"no usable period recovered; {intact}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,11 +265,7 @@ class FactorReport:
             "period_found": self.period_found,
             "attempts": self.attempts,
             "mode": self.mode,
-            "qubit_budget": {
-                "n_bits": self.qubit_budget.n_bits,
-                "zalka_qubits": self.qubit_budget.zalka_qubits,
-                "compiled_qubits": self.qubit_budget.compiled_qubits,
-            },
+            "qubit_budget": self.qubit_budget.to_json_dict(),
             "seed": to_decimal(self.seed),
             "honesty_note": self.honesty_note,
             "gcd_shortcut": self.gcd_shortcut,
@@ -254,27 +311,6 @@ def _short_decimal(value: int) -> str:
     return f"{text[:12]}...{text[-12:]} ({len(text)} digits)"
 
 
-def compose_honesty_note(n: int, period: Optional[int],
-                         gcd_shortcut: bool = False) -> str:
-    """The scorecard line: period size found versus modulus size."""
-    n_bits = n.bit_length()
-    if period is not None:
-        r_bits = period.bit_length()
-        return (
-            f"period found: r = {period} ({r_bits} bit{'s' if r_bits != 1 else ''})"
-            f" against a {n_bits}-bit modulus; the meaningful size here is "
-            f"the {r_bits}-bit period, not the {n_bits}-bit number"
-        )
-    if gcd_shortcut:
-        return (
-            f"factors fell out of a classical gcd; no period was measured, "
-            f"so nothing quantum is demonstrated on this {n_bits}-bit modulus"
-        )
-    return (
-        f"no usable period recovered; the {n_bits}-bit modulus remains intact"
-    )
-
-
 def canonical_mode(mode: str) -> str:
     try:
         return _MODES[mode]
@@ -313,25 +349,6 @@ def _perfect_power(n: int) -> Optional[tuple[int, int]]:
         if lo ** k == n:
             return lo, k
     return None
-
-
-def _report_note(mode: str, n: int, period: Optional[int],
-                 gcd_shortcut: bool, attempts: int) -> str:
-    """The honesty line of a report; coin runs word it as tosses."""
-    if mode != MODE_COIN:
-        return compose_honesty_note(n, period, gcd_shortcut)
-    n_bits = n.bit_length()
-    if period is None:
-        return (
-            f"no heads in {attempts} tosses, so no period this series; "
-            f"the {n_bits}-bit modulus remains intact"
-        )
-    return (
-        f"period found by coin toss: r = {period} "
-        f"({period.bit_length()} bits) against a {n_bits}-bit modulus; "
-        f"a fair coin replaced the circuit, and their outcome "
-        f"distributions are identical"
-    )
 
 
 def coin_tosses(seed: int):
@@ -400,26 +417,21 @@ def run_full_algorithm(
         circuit = build_compiled_circuit(find_period2_base(sp))
         a = circuit.base
 
-    # Imported here: simulator pulls in the kernels, and postprocess is
-    # importable without them for the purely classical helpers.
-    from .simulator import run_circuit
-
     if mode == MODE_COIN:
         tosses = coin_tosses(seed)
     else:
         master = random.Random(seed)
     details: list[AttemptRecord] = []
-    factors = period = None
-    shortcut = False
+    factors = None
     for attempt in range(1, max_attempts + 1):
         if mode == MODE_HONEST:
             a = master.randrange(2, n - 1)
             g = math.gcd(a, n)
             if g > 1:
-                shortcut, factors = True, _prime_split(g, n)
+                factors = _prime_split(g, n)
                 details.append(AttemptRecord(
-                    index=attempt, base=a, gcd_shortcut=True, y=None,
-                    period=None, multiplier=None, outcome="gcd-shortcut",
+                    index=attempt, base=a, y=None, period=None,
+                    multiplier=None, outcome="gcd-shortcut",
                 ))
                 break
             circuit = build_semiclassical_stages(a, n)
@@ -434,21 +446,13 @@ def run_full_algorithm(
         outcome = ("factored" if split else "no-period" if r is None
                    else "period-without-factors")
         details.append(AttemptRecord(
-            index=attempt, base=a, gcd_shortcut=False, y=y, period=r,
-            multiplier=candidate and candidate.multiplier, outcome=outcome,
+            index=attempt, base=a, y=y, period=r, multiplier=candidate and candidate.multiplier, outcome=outcome,
         ))
         if split:
             # the CRT base splits n into its validated p and q
             factors = (_prime_split(split[0], n) if mode == MODE_HONEST
                        else split)
-            period = r
             break
 
-    # max_attempts >= 1, so a is the last base tried
-    return FactorReport(
-        n=n, factors=factors, base_used=a, period_found=period,
-        attempts=len(details), mode=mode, qubit_budget=zalka_qubit_count(n),
-        seed=seed, honesty_note=_report_note(mode, n, period, shortcut,
-                                             len(details)),
-        gcd_shortcut=shortcut, attempt_details=tuple(details),
-    )
+    return FactorReport(n=n, factors=factors, mode=mode, seed=seed,
+                        attempt_details=tuple(details))

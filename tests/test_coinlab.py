@@ -93,7 +93,7 @@ class TestTossSeries:
         run = _toss_run(100_000, 123)
         assert abs(run.p_hat - 0.5) < 4 * math.sqrt(0.25 / 100_000)
 
-    def test_long_series_is_counted_in_blocks(self):
+    def test_long_series_is_counted_toss_by_toss(self):
         # one draw of 200 000 doubles holds 1.6 MB at once; the series
         # is counted one toss at a time, from the same stream as numpy's
         tracemalloc.start()
@@ -222,3 +222,17 @@ class TestChiSquare:
             chi_square_binomial([], 10)
         with pytest.raises(DomainError):
             chi_square_binomial([11], 10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi_square_heads_tails(0, 0), "need at least one toss"),
+    (lambda: chi_square_heads_tails(3, 2), "heads count out of range"),
+    (lambda: chi_square_critical(0), "degrees of freedom must be positive"),
+    (lambda: chi_square_binomial([0], 0), "need at least one toss per run"),
+    # expected counts of 1/2 merge into one bin, leaving nothing to fit
+    (lambda: chi_square_binomial([0], 1), "too few runs"),
+], ids=["heads-tails-no-tosses", "heads-tails-too-many-heads",
+        "critical-no-dof", "binomial-no-tosses", "binomial-one-bin"])
+def test_input_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

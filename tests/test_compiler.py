@@ -466,3 +466,16 @@ class TestSerialization:
                     assert _PLAIN_DECIMAL.fullmatch(value)
                 else:
                     assert type(value) is int
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CompiledBase(a=4, n=15, period=0), "period must be positive"),
+    (lambda: default_s(1), "modulus must be at least 2"),
+    (lambda: zalka_qubit_count(1), "modulus must be at least 2"),
+    # refused before a % n could divide by zero
+    (lambda: build_semiclassical_stages(3, 0), "modulus must be at least 2"),
+], ids=["compiled-base-period-0", "default-s-of-1", "qubit-budget-of-1",
+        "stages-mod-0"])
+def test_input_checks_refuse(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()

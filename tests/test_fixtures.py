@@ -55,6 +55,14 @@ class TestLoading:
         with pytest.raises(DomainError):
             load_fixture(broken)
 
+    def test_unreadable_base_file_rejected(self, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(fixture_root() / "rsa768", broken)
+        (broken / "a1.txt").unlink()
+        (broken / "a1.txt").mkdir()
+        with pytest.raises(DomainError, match="cannot read fixture file"):
+            load_fixture(broken)
+
     def test_no_bases_rejected(self, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(fixture_root() / "rsa768", broken)

@@ -371,3 +371,16 @@ class TestDecimalHelpers:
     @settings(max_examples=100)
     def test_round_trip_property(self, v):
         assert parse_decimal(to_decimal(v)) == v
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_probable_prime(True), "expected an integer, got bool"),
+    (lambda: multiplicative_order(1, 1), "modulus must be at least 2"),
+    (lambda: multiplicative_order(1, 0), "modulus must be at least 2"),
+    (lambda: continued_fraction_convergents(0, 0),
+     "denominator must be positive"),
+], ids=["bool-is-no-integer", "order-mod-1", "order-mod-0",
+        "convergents-of-0-over-0"])
+def test_input_checks_refuse(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -52,8 +52,8 @@ def test_public_surface():
         "StageRecord", "SupplementaryFixture", "VerificationError",
         "__version__", "build_compiled_circuit", "build_semiclassical_stages",
         "chi_square_binomial", "chi_square_critical", "chi_square_heads_tails",
-        "coin_factor_demo", "compose_honesty_note",
-        "continued_fraction_convergents", "control_reduced_density",
+        "coin_factor_demo", "continued_fraction_convergents",
+        "control_reduced_density",
         "default_s", "derive_factors", "dft_oracle_distribution",
         "extract_period", "find_period2_base", "find_period2_bases",
         "fixture_root", "is_probable_prime", "load_fixture",

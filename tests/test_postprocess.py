@@ -6,6 +6,7 @@ pipeline must agree with it on every (base, readout) decision, not just
 on aggregate success rates.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -27,7 +28,6 @@ from shorsim.postprocess import (
     FactorReport,
     PeriodCandidate,
     canonical_mode,
-    compose_honesty_note,
     derive_factors,
     extract_period,
     odd_period_rescue,
@@ -559,16 +559,59 @@ def test_negative_seed_is_refused_before_anything_runs(mode, n):
     assert str(refused.value) == "seed must be nonnegative, got -3"
 
 
+def _attempt(outcome, period=None, base=7, index=1):
+    return AttemptRecord(index=index, base=base, y=None, period=period,
+                         multiplier=None, outcome=outcome)
+
+
 class TestFactorReport:
+    def test_stores_only_the_run_and_its_attempts(self):
+        assert [f.name for f in dataclasses.fields(FactorReport)] == [
+            "n", "factors", "mode", "seed", "attempt_details"]
+
     def test_product_invariant_enforced(self):
-        from shorsim.compiler import zalka_qubit_count
         with pytest.raises(DomainError):
             FactorReport(
-                n=15, factors=(3, 6), base_used=7, period_found=4,
-                attempts=1, mode=MODE_HONEST,
-                qubit_budget=zalka_qubit_count(15), seed=0,
-                honesty_note="n/a",
+                n=15, factors=(3, 6), mode=MODE_HONEST, seed=0,
+                attempt_details=(_attempt("factored", period=4),),
             )
+
+    def test_report_without_attempts_refused(self):
+        with pytest.raises(DomainError, match="at least one attempt"):
+            FactorReport(n=15, factors=None, mode=MODE_HONEST, seed=0,
+                         attempt_details=())
+
+    @pytest.mark.parametrize("factors, last", [
+        ((3, 5), _attempt("no-period")),
+        ((3, 5), _attempt("period-without-factors", period=4)),
+        (None, _attempt("factored", period=4)),
+        (None, _attempt("gcd-shortcut", base=6)),
+    ], ids=["factors-after-no-period", "factors-after-dead-end",
+            "none-after-factored", "none-after-gcd-shortcut"])
+    def test_factors_must_agree_with_last_outcome(self, factors, last):
+        with pytest.raises(DomainError, match="disagree"):
+            FactorReport(n=15, factors=factors, mode=MODE_HONEST, seed=0,
+                         attempt_details=(last,))
+
+    def test_summary_is_read_from_the_last_attempt(self):
+        rep = FactorReport(
+            n=15, factors=(3, 5), mode=MODE_HONEST, seed=9,
+            attempt_details=(
+                _attempt("period-without-factors", period=2, base=14),
+                _attempt("factored", period=4, base=7, index=2),
+            ),
+        )
+        assert (rep.base_used, rep.attempts, rep.period_found) == (7, 2, 4)
+        assert not rep.gcd_shortcut
+        assert rep.qubit_budget.n_bits == 4
+
+    def test_a_dead_end_period_is_not_found(self):
+        rep = FactorReport(
+            n=15, factors=None, mode=MODE_HONEST, seed=0,
+            attempt_details=(_attempt("period-without-factors", period=2),),
+        )
+        assert rep.period_found is None
+        assert "no usable period" in rep.honesty_note
 
     def test_json_uses_decimal_strings_for_big_values(self):
         rep = run_full_algorithm(Semiprime.from_factors(3, 5),
@@ -612,26 +655,39 @@ class TestFactorReport:
                 in rep.render_text().splitlines())
 
     def test_honesty_note_states_both_bit_lengths(self):
-        note = compose_honesty_note(15, 4)
+        note = FactorReport(
+            n=15, factors=(3, 5), mode=MODE_HONEST, seed=0,
+            attempt_details=(_attempt("factored", period=4),),
+        ).honesty_note
         assert "3 bit" in note      # period 4
         assert "4-bit" in note      # modulus 15
-        none_note = compose_honesty_note(15, None)
+        none_note = FactorReport(
+            n=15, factors=None, mode=MODE_HONEST, seed=0,
+            attempt_details=(_attempt("no-period"),),
+        ).honesty_note
         assert "no usable period" in none_note
 
 
 class TestAttemptRecord:
     def test_json_dict_shape(self):
-        rec = AttemptRecord(index=1, base=7, gcd_shortcut=False, y=64,
-                            period=4, multiplier=1, outcome="factored")
+        rec = AttemptRecord(index=1, base=7, y=64, period=4, multiplier=1,
+                            outcome="factored")
         payload = rec.to_json_dict()
         assert payload == {
             "index": 1, "base": "7", "gcd_shortcut": False, "y": "64",
             "period": 4, "multiplier": 1, "outcome": "factored",
         }
 
+    @pytest.mark.parametrize("outcome", [
+        "gcd-shortcut", "factored", "no-period", "period-without-factors"])
+    def test_gcd_shortcut_is_read_from_the_outcome(self, outcome):
+        assert "gcd_shortcut" not in [
+            f.name for f in dataclasses.fields(AttemptRecord)]
+        assert _attempt(outcome).gcd_shortcut == (outcome == "gcd-shortcut")
+
     def test_none_fields_stay_none(self):
-        rec = AttemptRecord(index=2, base=7, gcd_shortcut=False, y=None,
-                            period=None, multiplier=None, outcome="no-period")
+        rec = AttemptRecord(index=2, base=7, y=None, period=None,
+                            multiplier=None, outcome="no-period")
         payload = rec.to_json_dict()
         assert payload["y"] is None
         assert payload["period"] is None

@@ -734,3 +734,15 @@ class TestOracleCost:
         got = dft_oracle_distribution(a, n, s).as_array()
         assert np.abs(got - want).max() < 1e-15
         assert np.array_equal(got > 0, want > 0)
+
+
+@pytest.mark.parametrize("a, n, s, message", [
+    (2, 15, 0, "need at least one readout bit"),
+    (3, 15, 4, "3 is not a unit mod 15"),
+    # a non-unit is no domain for the oracle at any readout size, so it
+    # is refused before the readout bound
+    (3, 15, MAX_DIST_READOUT_BITS + 1, "3 is not a unit mod 15"),
+], ids=["no-readout-bit", "base-not-a-unit", "base-not-a-unit-at-any-size"])
+def test_oracle_refuses_what_has_no_period(a, n, s, message):
+    with pytest.raises(DomainError, match=message):
+        dft_oracle_distribution(a, n, s)
