@@ -5,9 +5,8 @@ numpy.random.Generator(numpy.random.PCG64(seed)).random(). As in
 numpy.random.SeedSequence, the seed's 32-bit words are hashed and mixed
 into a pool of four words, and the pool is hashed out into the 128-bit
 state and increment. Each draw takes one PCG64 step and keeps the top
-53 bits of its XSL-RR output. One-stage shots and every coin toss draw
-from it, so they skip the numpy import; the array draws of multi-stage
-shots stay in numpy, which makes them faster.
+53 bits of its XSL-RR output. Every sampled shot and every coin toss
+draw from it, so no command imports numpy.random.
 """
 
 _MASK32 = 0xFFFFFFFF

@@ -48,9 +48,9 @@ from .numtheory import (
 
 # A shot holds four complex r-vectors, 64 B per exponent column, so
 # this caps its memory, and the order search refuses past it. At
-# r = 1048572, (a, n, s) = (2, 1048573, 41), one shot peaked at 98 MiB
-# RSS in a process that stood at 28 MiB before it (1.0-1.5 s; 2-CPU
-# Intel Xeon, Python 3.11, numpy 2.4).
+# r = 1048572, (a, n, s) = (2, 1048573, 41), one shot peaked at 92 MiB
+# RSS in a process that stood at 28 MiB, numpy loaded, before it
+# (0.47-0.56 s; 2-CPU Intel Xeon, Python 3.11, numpy 2.4).
 MAX_WORK_SPAN = 1 << 20
 
 # Readout stages a circuit may have: default_s of the largest modulus

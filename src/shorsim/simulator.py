@@ -10,10 +10,11 @@ away with two work values while an honest run pays for the full cycle.
 In this basis each controlled multiply is a cyclic shift of the columns
 (Circuit.stage_shifts). run_circuit samples one trajectory in it:
 measurement collapses mid-circuit and the classical bits feed the later
-phase gates. A stage costs a fixed handful of passes over two (2, r)
-buffers and two block norms, and the shot's uniforms are drawn once,
-up front, from its seeded stream. A one-stage shot, the compiled
-circuit's, is a few scalar operations and loads no numpy.
+phase gates. Every shot takes its first stage in scalars; a one-stage
+shot, the compiled circuit's, ends there and loads no numpy. Each
+later stage costs a fixed handful of passes over two (2, r) buffers
+and two block norms. Stage k draws the k-th double of the
+shot's seeded stream, _pcg64's pure-Python copy of numpy's PCG64.
 
 The exact routes, output_distribution and control_reduced_density,
 enumerate every measurement branch in the Fourier basis of Z_r instead,
@@ -132,28 +133,41 @@ def run_circuit(circuit: Circuit,
 
     The work register starts at residue 1. Returns the readout y
     assembled from the measured bits (classical bit index = bit
-    significance) and one StageRecord per stage, first to last.
+    significance) and one StageRecord per stage, first to last. Stage k
+    picks its outcome with the k-th double of _pcg64's copy of numpy's
+    PCG64 stream.
 
-    No stage allocates: the state lives in two preallocated (2, r)
-    complex buffers, four complex r-vectors (64 B per exponent column)
-    in all, and each shot costs O(s * r). A stage scales the register,
-    writes its shifted copy with the feedback phase in the same pass,
-    forms and scales the two Hadamard blocks, takes one norm per block
-    and rescales the kept block: a fixed handful of passes over the
-    buffers. The s uniforms that pick the outcomes are drawn in one
-    call, from the same PCG64 stream, value for value, as one draw per
-    stage.
+    Stage 1 is a few scalar operations with the floats numpy's passes
+    would form. From residue 1, PREP+ and the Hadamard leave c =
+    (1/sqrt 2)(1/sqrt 2) in each block at columns 0 and t_1 = 2**(s-1)
+    mod r, with sign -1 at t_1 in the control-|1> block, so each block
+    norm is c*c + c*c. When t_1 = 0 the control-|0> block holds 2c in
+    column 0 and the other block is zero. A one-stage shot (every
+    compiled circuit) returns there and never loads numpy.
 
-    A one-stage circuit (every compiled circuit) takes a scalar path
-    with the same floats: its two block norms are sums of two equal
-    squares, and its uniform is the first double of _pcg64's copy of
-    that stream, so it never loads numpy.
+    Later stages run on two preallocated (2, r) complex buffers, four
+    complex r-vectors (64 B per exponent column) in all, seeded with
+    the kept stage-1 block; each shot costs O(s * r). A stage scales
+    the register, writes its shifted copy with the feedback phase in
+    the same pass, forms and scales the two Hadamard blocks, takes one
+    norm per block and rescales the kept block: a fixed handful of
+    passes over the buffers, and no allocation.
     """
-    if circuit.num_readout_bits == 1:
-        return _one_stage_shot(circuit, seed)
+    uniforms = random_stream(seed)
+    multipliers, shifts = circuit.multipliers, circuit.stage_shifts
+    shift = shifts[0]
+    c = _INV_SQRT2 * _INV_SQRT2
+    if shift == 0:
+        p0, p1 = (2.0 * c) * (2.0 * c), 0.0
+    else:
+        p0 = p1 = c * c + c * c
+    _check_norm(p0 + p1)
+    prefix = 1 if next(uniforms) < p1 else 0
+    records = [StageRecord(1, multipliers[0], 0.0, p1, prefix)]
+    if len(shifts) == 1:
+        return prefix, tuple(records)
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(seed))
     r = circuit.work_register_span
     # pre0 holds the work register between stages; pre1 its copy
     # shifted by the controlled multiply. post holds the two blocks
@@ -162,32 +176,29 @@ def run_circuit(circuit: Circuit,
     post = np.empty((2, r), dtype=np.complex128)
     pre0, pre1 = pre
     post0, post1 = post
-    pre0[0] = 1.0  # residue 1 = a**0 sits in column 0
+    # the kept stage-1 block, rescaled by its own norm
+    scale = 1.0 / math.sqrt(p1 if prefix else p0)
+    if shift == 0:
+        pre0[0] = (2.0 * c) * scale
+    else:
+        pre0[0] = c * scale
+        pre0[shift] = (-c if prefix else c) * scale
     # Dividing complex by a real c multiplies each float part by 1/c,
     # so scaling the float views matches numpy's division bit for bit
     # (up to the sign of an exact zero, which nothing reads).
     pre0_parts = pre0.view(np.float64)
     post_parts = post.view(np.float64)
     kept_parts = tuple(post_parts)
-    uniforms = rng.random(circuit.num_readout_bits).tolist()
-    prefix = 0
-    records: list[StageRecord] = []
-    stages = zip(circuit.multipliers, circuit.stage_shifts, uniforms)
-    for stage, (multiplier, shift, uniform) in enumerate(stages, start=1):
+    stages = zip(multipliers[1:], shifts[1:], uniforms)
+    for stage, (multiplier, shift, uniform) in enumerate(stages, start=2):
         # PREP+, then the controlled multiply shifts the control-|1> block
+        # and its copy takes the feedback angle from the bits measured so
+        # far: -2*pi*P/2**k, P/2**k rounded once, so no k overflows a float
         np.multiply(pre0_parts, _INV_SQRT2, out=pre0_parts)
-        phase = 0.0
-        if stage == 1:
-            pre1[shift:] = pre0[:r - shift]
-            pre1[:shift] = pre0[r - shift:]
-        else:
-            # feedback angle from the bits measured so far: -2*pi*P/2**k,
-            # P/2**k rounded once, so no k overflows a float; the
-            # shifted copy takes it as it is written
-            phase = -2.0 * np.pi * (prefix / (1 << stage))
-            turn = np.exp(1j * phase)
-            np.multiply(pre0[:r - shift], turn, out=pre1[shift:])
-            np.multiply(pre0[r - shift:], turn, out=pre1[:shift])
+        phase = -2.0 * np.pi * (prefix / (1 << stage))
+        turn = np.exp(1j * phase)
+        np.multiply(pre0[:r - shift], turn, out=pre1[shift:])
+        np.multiply(pre0[r - shift:], turn, out=pre1[:shift])
         np.add(pre0, pre1, out=post0)
         np.subtract(pre0, pre1, out=post1)
         np.multiply(post_parts, _INV_SQRT2, out=post_parts)
@@ -203,26 +214,6 @@ def run_circuit(circuit: Circuit,
         prefix |= outcome << (stage - 1)
         records.append(StageRecord(stage, multiplier, phase, p1, outcome))
     return prefix, tuple(records)
-
-
-def _one_stage_shot(circuit: Circuit,
-                    seed: int) -> tuple[int, tuple[StageRecord, ...]]:
-    """run_circuit for s = 1, in scalars and without numpy.
-
-    From residue 1, PREP+ and the Hadamard leave c = (1/sqrt 2)(1/sqrt 2)
-    in each block at columns 0 and t_1 = 1 mod r, so each block norm is
-    c*c + c*c, the sum numpy's passes form. At r = 1 the shift is 0: the
-    control-|0> block holds 2c in column 0 and the other block is zero.
-    The uniform is the first double of the same PCG64 stream.
-    """
-    c = _INV_SQRT2 * _INV_SQRT2
-    if circuit.work_register_span == 1:
-        p0, p1 = (2.0 * c) * (2.0 * c), 0.0
-    else:
-        p0 = p1 = c * c + c * c
-    _check_norm(p0 + p1)
-    bit = 1 if next(random_stream(seed)) < p1 else 0
-    return bit, (StageRecord(1, circuit.base, 0.0, p1, bit),)
 
 
 def _check_norm(total: float) -> None:

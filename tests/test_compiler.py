@@ -422,7 +422,7 @@ class TestSerialization:
         assert f'"{field}": {declared[field]}' in written
         assert f'"{field}": {json.dumps(value)}' not in written
 
-    def test_text_rejects_non_canonical_multipliers(self):
+    def test_text_multipliers_square_down_to_the_base(self):
         # stage by stage, each multiplier is the square of the next one
         # mod n, and the last stage applies the base itself
         lines = build_semiclassical_stages(2, 33, 4).to_text().splitlines()
@@ -431,7 +431,7 @@ class TestSerialization:
         assert all(m == following ** 2 % 33
                    for m, following in zip(multipliers, multipliers[1:]))
 
-    def test_json_rejects_non_canonical_multipliers(self):
+    def test_json_multipliers_square_down_to_the_base(self):
         gates = build_semiclassical_stages(2, 33, 4).to_json_dict()["gates"]
         multipliers = [int(g["multiplier"]) for g in gates
                        if g["gate"] == "CMODMUL"]
@@ -439,7 +439,7 @@ class TestSerialization:
         assert all(m == following ** 2 % 33
                    for m, following in zip(multipliers, multipliers[1:]))
 
-    def test_text_rejects_hex_multiplier(self):
+    def test_text_multipliers_are_plain_decimal(self):
         # multipliers and moduli are written in plain decimal, also far
         # past 64 bits
         p = (1 << 127) - 1

@@ -14,7 +14,8 @@ SRC = str(Path(shorsim.__file__).resolve().parent.parent)
 
 # Runs the argv given as JSON through cli.main with its output held
 # back, then prints whether numpy was loaded after `import shorsim`,
-# after `import shorsim.cli` and after the call, and the exit code.
+# after `import shorsim.cli` and after the call, whether numpy.random
+# was loaded after the call, and the exit code.
 _CHILD = """
 import contextlib, io, json, sys
 import shorsim
@@ -25,7 +26,8 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
     code = shorsim.cli.main(json.loads(sys.argv[1]))
 loaded.append("numpy" in sys.modules)
-print(json.dumps({"code": code, "numpy": loaded}))
+print(json.dumps({"code": code, "numpy": loaded,
+                  "numpy.random": "numpy.random" in sys.modules}))
 """
 
 
@@ -84,7 +86,8 @@ def test_every_exported_name_resolves():
         "verify-supplementary", "orbit-refusal"])
 def test_calls_that_simulate_nothing_never_load_numpy(argv, code):
     assert _numpy_loaded(argv) == {"code": code,
-                                   "numpy": [False, False, False]}
+                                   "numpy": [False, False, False],
+                                   "numpy.random": False}
 
 
 @pytest.mark.parametrize("argv", [
@@ -97,10 +100,19 @@ def test_one_stage_runs_never_load_numpy(argv):
     # the compiled circuit is one stage, sampled in scalars, and the coin
     # and coin-demo's series are the pure-Python PCG64 stream
     assert _numpy_loaded(argv) == {"code": 0,
-                                   "numpy": [False, False, False]}
+                                   "numpy": [False, False, False],
+                                   "numpy.random": False}
 
 
 def test_simulate_loads_numpy():
     argv = ["simulate", "--kind", "semiclassical", "--a", "7", "--n", "15",
             "--s", "3", "--seed", "0"]
-    assert _numpy_loaded(argv) == {"code": 0, "numpy": [False, False, True]}
+    assert _numpy_loaded(argv) == {"code": 0, "numpy": [False, False, True],
+                                   "numpy.random": False}
+
+
+def test_honest_factor_loads_numpy_but_not_numpy_random():
+    # later stages run on numpy buffers, but every shot draws its
+    # uniforms from the pure-Python PCG64 stream
+    assert _numpy_loaded(["factor", "--n", "15"]) == {
+        "code": 0, "numpy": [False, False, True], "numpy.random": False}

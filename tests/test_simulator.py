@@ -526,7 +526,10 @@ def reference_run_circuit(circuit, seed):
 def _honest_reference_cases():
     """(a, n, s): two drawn bases per honest benchmark modulus, a base
     of order 16020 mod 32399 (the longest period there), r = 1 and
-    r = 2, and the shortest and a long readout."""
+    r = 2, and the shortest and a long readout. Stage 1 is taken in
+    scalars and hands its kept block to the later stages: (7, 15, 8)
+    has r = 4 and first shift t_1 = 2**7 mod 4 = 0, and at s = 2 the
+    loop runs exactly one stage."""
     draw = random.Random(2013)
     cases = []
     for n in (3127, 3599, 6557, 146611, 197633, 886657, 1026241, 60491,
@@ -540,7 +543,7 @@ def _honest_reference_cases():
                    if multiplicative_order(a, 32399) == 16020)
     cases.append((longest, 32399, default_s(32399)))
     cases += [(1, 15, 8), (14, 15, 8), (7, 15, 1), (2, 337, 1),
-              (2, 337, 1023)]
+              (2, 337, 1023), (7, 15, 8), (7, 15, 2), (2, 337, 2)]
     return cases
 
 
@@ -559,8 +562,8 @@ class TestRunCircuitMatchesReference:
 
     @pytest.mark.parametrize("a,n,r", [(1, 15, 1), (4, 15, 2), (14, 15, 2)])
     def test_one_stage_scalars_are_bit_identical(self, a, n, r):
-        # s = 1 takes the scalar path: r = 1 has shift 0 and p_one = 0,
-        # r = 2 is the compiled circuit's shape
+        # s = 1 ends after the scalar first stage: r = 1 has shift 0
+        # and p_one = 0, r = 2 is the compiled circuit's shape
         circuit = build_semiclassical_stages(a, n, 1)
         assert circuit.work_register_span == r
         draw = random.Random(a * n)
