@@ -57,7 +57,6 @@ from .postprocess import (
     PeriodCandidate,
     derive_factors,
     extract_period,
-    odd_period_rescue,
     run_full_algorithm,
 )
 from .simulator import (
@@ -112,7 +111,6 @@ __all__ = [
     "PeriodCandidate",
     "derive_factors",
     "extract_period",
-    "odd_period_rescue",
     "run_full_algorithm",
     "OutcomeDistribution",
     "StageRecord",

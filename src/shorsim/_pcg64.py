@@ -9,6 +9,8 @@ state and increment. Each draw takes one PCG64 step and keeps the top
 draw from it, so no command imports numpy.random.
 """
 
+from .errors import DomainError
+
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -49,7 +51,7 @@ def _seed_pool(seed: int) -> list[int]:
 def random_stream(seed: int):
     """Endless doubles in [0, 1), as numpy's PCG64 Generator draws them."""
     if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     pool = _seed_pool(seed)
     # SeedSequence.generate_state(4, uint64): eight hashed 32-bit words,
     # paired low word first

@@ -211,8 +211,9 @@ class CompiledBase:
     """A base whose period was arranged in advance.
 
     sign_choice records which mixed-sign CRT combination produced the
-    base ((p-term sign, q-term sign)); None for bases built some other
-    way. The constructor checks a**period = 1 mod n and nontriviality.
+    base (the signs of e and 1 - e; see find_period2_base); None for
+    bases built some other way. The constructor checks a**period = 1
+    mod n and nontriviality.
     """
 
     a: int
@@ -229,14 +230,17 @@ class CompiledBase:
             raise DomainError("a**period is not 1 mod n")
 
 
-def find_period2_bases(sp: Semiprime) -> tuple[CompiledBase, CompiledBase]:
-    """Both nontrivial period-2 bases for a semiprime with known factors,
-    ascending: the nontrivial square roots of 1 mod n = p*q.
+def find_period2_base(sp: Semiprime) -> CompiledBase:
+    """The smaller nontrivial square root of 1 mod n = p*q, a period-2
+    base built from the known factors.
 
-    Writing e_q = p * inv(p mod q) and e_p = q * inv(q mod p), the four
-    sign combinations of e_q and e_p cover all square roots of unity mod
-    n; the two mixed-sign combinations are the nontrivial ones, and they
-    sum to n. A sign choice ("+", "-") means the base is +e_q - e_p mod n.
+    One modular inverse gives the CRT idempotent e = p * inv(p mod q),
+    which is 0 mod p and 1 mod q; its complement 1 - e is 1 mod p and
+    0 mod q. The square roots of 1 are the four signed sums +-e +- (1-e);
+    +1 and -1 are trivial, and the other two are 2e - 1 (-1 mod p, +1
+    mod q) and its negation 1 - 2e, which sum to n. A sign choice gives
+    the signs of e and of 1 - e in that order, so ("+", "-") is 2e - 1
+    and ("-", "+") is 1 - 2e.
     """
     if not sp.has_factors:
         raise CompilationRequiresFactorsError(
@@ -246,16 +250,18 @@ def find_period2_bases(sp: Semiprime) -> tuple[CompiledBase, CompiledBase]:
     assert sp.p is not None and sp.q is not None
     # Semiprime validated both primes on construction; no second verdict.
     p, q, n = sp.p, sp.q, sp.n
-    e_q = p * pow(p, -1, q) % n  # 0 mod p, 1 mod q
-    e_p = q * pow(q, -1, p) % n  # 1 mod p, 0 mod q
-    first = CompiledBase((e_q - e_p) % n, n, 2, ("+", "-"))
-    second = CompiledBase((e_p - e_q) % n, n, 2, ("-", "+"))
-    return (first, second) if first.a < second.a else (second, first)
+    a = (2 * p * pow(p, -1, q) - 1) % n  # 2e - 1
+    if a < n - a:
+        return CompiledBase(a, n, 2, ("+", "-"))
+    return CompiledBase(n - a, n, 2, ("-", "+"))
 
 
-def find_period2_base(sp: Semiprime) -> CompiledBase:
-    """The smaller of the two period-2 bases, for determinism."""
-    return find_period2_bases(sp)[0]
+def find_period2_bases(sp: Semiprime) -> tuple[CompiledBase, CompiledBase]:
+    """Both nontrivial period-2 bases, ascending: find_period2_base's
+    root and its negation mod n, with the opposite sign choice."""
+    first = find_period2_base(sp)
+    return first, CompiledBase(first.n - first.a, first.n, 2,
+                               first.sign_choice[::-1])
 
 
 def build_compiled_circuit(base: CompiledBase) -> Circuit:

@@ -100,31 +100,18 @@ def extract_period(y: int, s_pow: int, a: int, n: int) -> Optional[PeriodCandida
 def derive_factors(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
     """Split n using a verified period r of a.
 
-    Even r: computes x = a**(r/2) and returns the gcd pair (x-1, n),
+    Even r: splits at x = a**(r/2), returning the gcd pair (x-1, n),
     (x+1, n) when both are nontrivial; x = n-1 is the dead end that
-    sends the caller back for a new base. Odd r: defers to the
-    perfect-square rescue. Returns the pair in ascending order.
+    sends the caller back for a new base. Odd r: when a = b*b exactly,
+    b has period dividing 2r, so n can still split at x = b**r; any
+    other base returns None. Returns the pair in ascending order.
     """
     if r < 1:
         raise DomainError("period must be positive")
     if pow(a, r, n) != 1:
         raise DomainError(f"{a}**{r} is not 1 mod {n}: not a period")
-    if r % 2 == 1:
-        return odd_period_rescue(a, r, n)
-    return _split_at(pow(a, r // 2, n), n)
-
-
-def odd_period_rescue(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
-    """Odd-period escape hatch for perfect-square bases.
-
-    When a = b*b exactly, b has period dividing 2r, so gcd(b**r -/+ 1, n)
-    can split n even though r itself is odd. Returns None when a is not
-    a perfect square or the gcds are trivial.
-    """
-    if r < 1 or r % 2 == 0:
-        raise DomainError("rescue applies to odd periods only")
-    if pow(a, r, n) != 1:
-        raise DomainError(f"{a}**{r} is not 1 mod {n}: not a period")
+    if r % 2 == 0:
+        return _split_at(pow(a, r // 2, n), n)
     b = math.isqrt(a)
     if b * b != a:
         return None

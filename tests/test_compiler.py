@@ -29,11 +29,13 @@ from shorsim.errors import (
     NotCompilableError,
     RefusedTooLargeError,
 )
+from shorsim.fixtures import load_fixture
 from shorsim.numtheory import (
     Semiprime,
     multiplicative_order,
     random_probable_prime,
 )
+from shorsim.postprocess import run_full_algorithm
 
 
 class TestQubitBudget:
@@ -183,6 +185,85 @@ class TestCompiledBase:
             assert base.period == 2
             assert pow(base.a, 2, n) == 1
             assert base.a not in (1, n - 1)
+
+
+def _two_inverse_period2_bases(sp):
+    """find_period2_bases as it was written with one inverse per CRT
+    idempotent, kept verbatim as the reference for the one-inverse
+    construction."""
+    if not sp.has_factors:
+        raise CompilationRequiresFactorsError(
+            "finding a period-2 base requires the factors of n; that is "
+            "the compiled pipeline's input, not its output"
+        )
+    assert sp.p is not None and sp.q is not None
+    # Semiprime validated both primes on construction; no second verdict.
+    p, q, n = sp.p, sp.q, sp.n
+    e_q = p * pow(p, -1, q) % n  # 0 mod p, 1 mod q
+    e_p = q * pow(q, -1, p) % n  # 1 mod p, 0 mod q
+    first = CompiledBase((e_q - e_p) % n, n, 2, ("+", "-"))
+    second = CompiledBase((e_p - e_q) % n, n, 2, ("-", "+"))
+    return (first, second) if first.a < second.a else (second, first)
+
+
+def _drawn_factor_pairs():
+    """Pairs of distinct odd primes of 2 to 512 bits each, so that
+    their products run from 4 to 1024 bits, in both orders."""
+    rng = random.Random(2828)
+    pairs = [(3, 5), (3, 7), (5, 7), (7, 11), (11, 13)]
+    while len(pairs) < 30:
+        p = random_probable_prime(rng.randint(2, 512), rng)
+        q = random_probable_prime(rng.randint(2, 512), rng)
+        if p != q:
+            pairs.append((p, q))
+    return pairs + [(q, p) for p, q in pairs]
+
+
+class TestOneIdempotent:
+    @pytest.fixture
+    def inverses(self, monkeypatch):
+        # a module global named pow shadows the builtin inside compiler
+        calls = []
+
+        def counting_pow(base, exp, mod=None):
+            if exp == -1:
+                calls.append((base, mod))
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(compiler, "pow", counting_pow, raising=False)
+        return calls
+
+    def test_one_inverse_per_base(self, inverses):
+        find_period2_base(Semiprime.from_factors(3, 5))
+        assert inverses == [(3, 5)]
+
+    def test_one_inverse_for_both_bases(self, inverses):
+        find_period2_bases(Semiprime.from_factors(3, 5))
+        assert inverses == [(3, 5)]
+
+    def test_one_inverse_per_compiled_run(self, inverses):
+        report = run_full_algorithm(Semiprime.from_factors(3, 5),
+                                    mode="compiled", seed=0)
+        assert report.factors == (3, 5)
+        assert inverses == [(3, 5)]
+
+    def test_bases_match_the_two_inverse_construction(self):
+        rsa = load_fixture("rsa768")
+        for p, q in _drawn_factor_pairs() + [(rsa.p, rsa.q), (rsa.q, rsa.p)]:
+            sp = Semiprime.from_factors(p, q)
+            # CompiledBase compares a, n, period and sign_choice
+            assert find_period2_bases(sp) == \
+                _two_inverse_period2_bases(sp), (p, q)
+
+    def test_sign_choice_names_the_root(self):
+        # ("+", "-") is 2e - 1 with e = p * inv(p mod q): -1 mod p and
+        # +1 mod q; ("-", "+") is its negation
+        for p, q in ((3, 5), (5, 3), (3, 7), (7, 3), (11, 13)):
+            for base in find_period2_bases(Semiprime.from_factors(p, q)):
+                residues = (base.a % p, base.a % q)
+                assert residues == ({("+", "-"): (p - 1, 1),
+                                     ("-", "+"): (1, q - 1)}
+                                    [base.sign_choice])
 
 
 class TestCompiledCircuit:
@@ -354,7 +435,7 @@ _PLAIN_DECIMAL = re.compile(r"0|[1-9][0-9]*")
 
 
 class TestSerialization:
-    def test_text_round_trip(self):
+    def test_text_writes_four_lines_per_stage(self):
         # each stage's four lines are derived from (n, a, s) alone
         for n, a, s in ((15, 7, 8), (33, 2, 3), (15, 4, 1)):
             lines = Circuit(n, a, s).to_text().splitlines()
@@ -362,7 +443,7 @@ class TestSerialization:
             assert lines[1::4] == [f"CMODMUL {pow(a, 2 ** (s - k), n)} {n}"
                                    for k in range(1, s + 1)]
 
-    def test_json_round_trip(self):
+    def test_json_lists_every_gate_and_its_declared_fields(self):
         circuit = build_semiclassical_stages(7, 15, 4)
         payload = circuit.to_json_dict()
         assert payload["format"] == "shorsim-circuit"
@@ -385,7 +466,7 @@ class TestSerialization:
         assert isinstance(entry["multiplier"], str)
         assert isinstance(entry["modulus"], str)
 
-    def test_text_span_is_recomputed(self):
+    def test_every_circuit_finds_the_order_of_its_base(self):
         # the text form declares no span: every Circuit of (n, a) finds
         # the order of a again, whatever its stage count
         assert "4" not in build_semiclassical_stages(7, 15, 1).to_text()

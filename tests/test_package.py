@@ -59,7 +59,7 @@ def test_public_surface():
         "default_s", "derive_factors", "dft_oracle_distribution",
         "extract_period", "find_period2_base", "find_period2_bases",
         "fixture_root", "is_probable_prime", "load_fixture",
-        "multiplicative_order", "odd_period_rescue", "output_distribution",
+        "multiplicative_order", "output_distribution",
         "parse_decimal", "random_probable_prime", "run_circuit",
         "run_full_algorithm", "to_decimal", "total_variation",
         "verify_fixture", "work_orbit", "zalka_qubit_count",

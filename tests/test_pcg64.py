@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 from shorsim._pcg64 import random_stream
+from shorsim.compiler import Circuit
+from shorsim.errors import DomainError
+from shorsim.postprocess import coin_tosses
+from shorsim.simulator import run_circuit
 
-# Seeds of one to three 32-bit words, at the edges between them; the
-# last two are wider than SeedSequence's pool of four words, so their
-# extra words take its second mixing pass.
+# Seeds of one to four 32-bit words, at the edges between them; the
+# four-word ones fill SeedSequence's pool of four words exactly, with
+# no zero pad, and the last two are wider than it, so their extra
+# words take its second mixing pass.
 EDGE_SEEDS = [0, 1, 415, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64,
-              2**128 + 9, 2**200 + 1]
+              2**96, 2**128 - 1, 2**128 + 9, 2**200 + 1]
 
 
 def _numpy_draws(seed, count):
@@ -40,3 +45,14 @@ def test_negative_seed_refused_like_numpy():
         np.random.PCG64(-1)
     with pytest.raises(ValueError, match="nonnegative"):
         random_stream(-1)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: run_circuit(Circuit(15, 7, 3), -1),
+    lambda: run_circuit(Circuit(15, 4, 1), -1),  # the one-stage shot
+    lambda: coin_tosses(-2),
+], ids=["staged-shot", "one-stage-shot", "coin-toss"])
+def test_negative_seed_is_a_domain_error(draw):
+    # every caller of the stream gets the package's own error
+    with pytest.raises(DomainError, match="nonnegative"):
+        draw()

@@ -30,7 +30,6 @@ from shorsim.postprocess import (
     canonical_mode,
     derive_factors,
     extract_period,
-    odd_period_rescue,
     run_full_algorithm,
 )
 from shorsim.postprocess import _perfect_power
@@ -130,25 +129,21 @@ class TestDeriveFactors:
 
 class TestOddPeriodRescue:
     def test_square_base(self):
-        assert odd_period_rescue(4, 3, 21) == (3, 7)
-
-    def test_even_period_rejected(self):
-        with pytest.raises(DomainError):
-            odd_period_rescue(7, 4, 15)
+        assert derive_factors(4, 3, 21) == (3, 7)
 
     def test_non_period_rejected(self):
         with pytest.raises(DomainError):
-            odd_period_rescue(5, 3, 21)
+            derive_factors(5, 3, 21)
 
     def test_non_square_base_yields_nothing(self):
         # 5 has order 3 mod 31 and is not a perfect square
         assert pow(5, 3, 31) == 1
-        assert odd_period_rescue(5, 3, 31) is None
+        assert derive_factors(5, 3, 31) is None
 
     def test_degenerate_gcd_yields_nothing(self):
         # b**r = 1 mod n makes gcd(b**r - 1, n) = n itself
         assert pow(4, 3, 7) == 1
-        assert odd_period_rescue(4, 3, 7) is None
+        assert derive_factors(4, 3, 7) is None
 
 
 def _inline_derive_factors(a, r, n):
@@ -199,16 +194,14 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("n", [15, 21, 33, 35, 39, 51, 55, 57, 91])
 def test_shared_split_matches_the_inline_splits(n):
     # every unit, at its order and at 2, 3 and 4 times it: odd multiples
-    # reach the rescue (or its refusal), even ones the x = n-1 dead end
+    # reach the perfect-square rescue, even ones the x = n-1 dead end
     for a in range(1, n):
         if math.gcd(a, n) != 1:
             continue
         order = numtheory.multiplicative_order(a, n)
         for r in (order, 2 * order, 3 * order, 4 * order):
-            for new, old in ((derive_factors, _inline_derive_factors),
-                             (odd_period_rescue, _inline_odd_period_rescue)):
-                assert _outcome(new, a, r, n) == _outcome(old, a, r, n), \
-                    (new.__name__, a, r, n)
+            assert _outcome(derive_factors, a, r, n) == \
+                _outcome(_inline_derive_factors, a, r, n), (a, r, n)
 
 
 def _oracle_decision(a: int, y: int, s_pow: int, n: int):
