@@ -28,7 +28,7 @@ from shorsim.numtheory import (
     random_probable_prime,
     to_decimal,
 )
-from shorsim.numtheory import _sieve
+from shorsim.numtheory import _is_small_prime, _jacobi, _sieve
 from shorsim.numtheory import _strong_lucas_probable_prime as strong_lucas
 from shorsim.numtheory import _strong_probable_prime_base2 as strong_base2
 
@@ -286,6 +286,138 @@ class TestPrimality:
                 "99443966231567383997492246714714198122924375450790860252"
                 "13231349874369605792456129337"),
         ]
+
+
+def _reference_strong_lucas(n):
+    """The U/V ladder that the V-only ladder replaced, kept verbatim as
+    the oracle its verdicts are compared with."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would have (D/n) = -1
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    m = n + 1
+    s = (m & -m).bit_length() - 1  # m = d * 2**s with d odd
+    d = m >> s
+    # Binary ladder from k = 1: U_2k = U_k V_k, V_2k = V_k**2 - 2 Q**k,
+    # and with P = 1, U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2,
+    # halving mod odd n by adding n to an odd value first.
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+_LOOP_PRIMES = _sieve(1000)
+
+
+def _reference_small_prime(n):
+    """The trial-division loop that one gcd replaced, kept verbatim."""
+    if n < 2:
+        return False
+    for p in _LOOP_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+        if p * p > n:
+            return True
+    return None
+
+
+def _lucas_conditions(n):
+    """Which of the strong Lucas conditions odd n meets, from the plain
+    recurrences U_k+1 = U_k - Q U_k-1 and V_k+1 = V_k - Q V_k-1 (P = 1)
+    run term by term; for n of a few thousand only."""
+    D = 5
+    while _jacobi(D, n) != -1:
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    m = n + 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    us, vs = [0, 1], [2, 1]
+    while len(us) <= m:
+        us.append((us[-1] - Q * us[-2]) % n)
+        vs.append((vs[-1] - Q * vs[-2]) % n)
+    met = set()
+    if us[d] == 0:
+        met.add("U_d")
+    if vs[d] == 0:
+        met.add("V_d")
+    if any(vs[d << r] == 0 for r in range(1, s)):
+        met.add("V_d*2**r")
+    return met
+
+
+class TestLucasLadder:
+    """The V-only ladder gives the U/V ladder's verdict on every input."""
+
+    def test_matches_reference_on_every_odd_n_below_10_5(self):
+        assert [n for n in range(3, 10**5, 2)
+                if strong_lucas(n) != _reference_strong_lucas(n)] == []
+
+    # Each witness passes by exactly one condition, so dropping any one
+    # of the ladder's three checks rejects its witness and fails here.
+    @pytest.mark.parametrize("n, condition", [
+        (5777, "U_d"), (16109, "V_d"), (5459, "V_d*2**r"),
+    ])
+    def test_each_condition_has_a_witness(self, n, condition):
+        assert _lucas_conditions(n) == {condition}
+        assert _reference_strong_lucas(n)
+        assert strong_lucas(n)
+
+    def test_matches_reference_on_large_inputs(self):
+        rng = random.Random(29)
+        inputs = [
+            # 2048-bit primes, and a 2048-bit semiprime of 1024-bit ones
+            2**2047 + 1919, 2**2048 - 1557,
+            (2**1023 + 1155) * (2**1024 - 105),
+        ]
+        for bits in (64, 128, 256, 512, 1024, 2048):
+            inputs += [rng.getrandbits(bits) | 1 << (bits - 1) | 1
+                       for _ in range(4)]
+        for bits in (64, 128, 256, 512, 1024):
+            inputs += [random_probable_prime(bits, rng) for _ in range(2)]
+            half = bits // 2
+            inputs += [random_probable_prime(half, rng)
+                       * random_probable_prime(bits - half, rng)
+                       for _ in range(2)]
+        mismatched = [n for n in inputs
+                      if strong_lucas(n) != _reference_strong_lucas(n)]
+        assert mismatched == []
+        assert sum(map(strong_lucas, inputs)) == 2 + 2 * 5
+
+
+class TestTrialDivision:
+    @pytest.mark.parametrize("n", [
+        0, 1, 2, 15, 1155, 30030, 997, 1009,
+        997**2 - 2, 997**2, 997**2 + 2,
+    ])
+    def test_edges_match_the_loop(self, n):
+        assert _is_small_prime(n) is _reference_small_prime(n)
+
+    def test_matches_the_loop_below_2_10_5(self):
+        assert [n for n in range(2 * 10**5)
+                if _is_small_prime(n) is not _reference_small_prime(n)
+                ] == []
 
 
 class TestSemiprime:
