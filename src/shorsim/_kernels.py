@@ -74,13 +74,11 @@ FOLD_STAGES = 2
 _PREFIX_BLOCK = 1 << 12
 
 
-def _unit_circle(
-    denominator: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2*pi*j/denominator for j in range(count)."""
+def _unit_circle(denominator: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2*pi*j/denominator for j in range(denominator)."""
     import numpy as np
 
-    angles = (2.0 * np.pi / denominator) * np.arange(count)
+    angles = (2.0 * np.pi / denominator) * np.arange(denominator)
     return np.cos(angles), np.sin(angles)
 
 
@@ -167,7 +165,7 @@ def _folded_moments(
     # apart see the same stored angles and grow the same branch weights
     members = math.gcd(span, *shifts[:stored])
     classes = span // members
-    circle_cos, circle_sin = _unit_circle(span, span)
+    circle_cos, circle_sin = _unit_circle(span)
     shift_col = np.array(shifts[:stored], dtype=np.int64)[:, None]
     chunk = min(classes, max(1, CHUNK_CELLS // branches))
     # one buffer each for the whole call; a narrower last chunk takes

@@ -5,12 +5,14 @@ compilation, circuit dumps, seeded single-shot simulation, exact output
 distributions, full factoring runs, the coin demo, and verification of
 the shipped large-number fixtures.
 
-Conventions: flags spelled in full (abbreviations are refused),
-decimal-only integer flags (hex is rejected), JSON on standard output
-with sorted keys, arbitrarily large integers rendered as decimal
+Conventions: flags spelled in full (abbreviations are refused), JSON
+on standard output with sorted keys, large integers written as decimal
 strings, a machine-readable error object on standard error when
-something fails. Exit codes: 0 success, 2 usage or bad input, 3
-verification failure, 4 refused-as-too-large.
+something fails. Every integer flag takes ASCII decimal digits of any
+length, whitespace ignored as in fixture files; a sign, an underscore,
+a hex prefix or a non-ASCII digit exits 2 with an error naming the
+flag. Exit codes: 0 success, 2 usage or bad input, 3 verification
+failure, 4 refused-as-too-large.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .simulator import output_distribution, run_circuit
 
 _JSON_KW = {"indent": 2, "sort_keys": True}
 
+# Every integer flag, in reading order: of two bad ones, the first is named
+_INT_FLAGS = ("n", "p", "q", "a", "s", "seed", "tosses")
+
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, **_JSON_KW))
@@ -50,15 +55,12 @@ def _dec(text: str, flag: str) -> int:
     try:
         return parse_decimal(text)
     except DomainError:
-        raise DomainError(
-            f"{flag} expects a plain decimal integer, got {text!r}"
-        ) from None
+        raise DomainError(f"{flag} expects a plain decimal integer, "
+                          f"got {text!r}") from None
 
 
 def _semiprime_from_args(args) -> Semiprime:
-    n = _dec(args.n, "--n") if args.n is not None else None
-    p = _dec(args.p, "--p") if args.p is not None else None
-    q = _dec(args.q, "--q") if args.q is not None else None
+    n, p, q = (getattr(args, name, None) for name in "npq")
     if p is not None and q is not None:
         sp = Semiprime.from_factors(p, q)
         if n is not None and sp.n != n:
@@ -83,11 +85,9 @@ def _circuit_from_args(args):
     if stray:
         raise DomainError(f"--kind {args.kind} takes no {', '.join(stray)}")
     if compiled:
-        sp = Semiprime.from_factors(_dec(args.p, "--p"), _dec(args.q, "--q"))
-        return build_compiled_circuit(find_period2_base(sp))
-    a = _dec(args.a, "--a")
-    n = _dec(args.n, "--n")
-    return build_semiclassical_stages(a, n, args.s)
+        return build_compiled_circuit(
+            find_period2_base(_semiprime_from_args(args)))
+    return build_semiclassical_stages(args.a, args.n, args.s)
 
 
 def _add_circuit_flags(sub: argparse.ArgumentParser) -> None:
@@ -97,23 +97,23 @@ def _add_circuit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--q", help="second prime factor (compiled)")
     sub.add_argument("--a", help="base (semiclassical)")
     sub.add_argument("--n", help="modulus (semiclassical)")
-    sub.add_argument("--s", type=int, default=None,
+    sub.add_argument("--s", default=None,
                      help="readout stages (semiclassical; default fits n**2)")
 
 
 def _cmd_qubits(args) -> int:
-    n = _dec(args.n, "--n")
-    _print_json({"n": to_decimal(n), **zalka_qubit_count(n).to_json_dict()})
+    _print_json({"n": to_decimal(args.n),
+                 **zalka_qubit_count(args.n).to_json_dict()})
     return 0
 
 
 def _cmd_compile_base(args) -> int:
-    sp = Semiprime.from_factors(_dec(args.p, "--p"), _dec(args.q, "--q"))
+    sp = _semiprime_from_args(args)
     bases = find_period2_bases(sp)
     _print_json({
         "n": to_decimal(sp.n),
-        "p": to_decimal(min(sp.factors)),
-        "q": to_decimal(max(sp.factors)),
+        "p": to_decimal(sp.factors[0]),
+        "q": to_decimal(sp.factors[1]),
         "bases": [
             {
                 "a": to_decimal(b.a),
@@ -182,7 +182,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_coin_demo(args) -> int:
-    sp = Semiprime.from_factors(_dec(args.p, "--p"), _dec(args.q, "--q"))
+    sp = _semiprime_from_args(args)
     run, report = coin_factor_demo(sp, n_tosses=args.tosses, seed=args.seed)
     _print_json({
         "coin_run": run.to_json_dict(),
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = _add_subcommand(sub, "simulate", _cmd_simulate,
                             "run one seeded shot")
     _add_circuit_flags(p_sim)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", default="0")
 
     p_dist = _add_subcommand(sub, "dist", _cmd_dist,
                              "exact readout distribution")
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--q", default=None)
     p_factor.add_argument("--mode", choices=("honest", "compiled", "coin"),
                           default="honest")
-    p_factor.add_argument("--seed", type=int, default=0)
+    p_factor.add_argument("--seed", default="0")
     p_factor.add_argument("--format", choices=("json", "text"),
                           default="json")
 
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "factor with a fair coin")
     p_coin.add_argument("--p", required=True)
     p_coin.add_argument("--q", required=True)
-    p_coin.add_argument("--tosses", type=int, default=10)
-    p_coin.add_argument("--seed", type=int, default=0)
+    p_coin.add_argument("--tosses", default="10")
+    p_coin.add_argument("--seed", default="0")
 
     p_ver = _add_subcommand(sub, "verify-supplementary",
                             _cmd_verify_supplementary,
@@ -292,11 +292,11 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
                      else args.subparser)
             owner.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise DomainError(f"--seed must be nonnegative, got {args.seed}")
+        for name in _INT_FLAGS:
+            if getattr(args, name, None) is not None:
+                setattr(args, name, _dec(getattr(args, name), f"--{name}"))
         return args.handler(args)
     except RefusedTooLargeError as exc:
         _emit_error(exc)

@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +15,39 @@ from shorsim.cli import main
 from shorsim.fixtures import fixture_root
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+# A valid call for each integer flag of each subcommand that takes it,
+# with that flag's value left as {}
+_INT_FLAG_CALLS = [
+    ("qubits --n {}", "--n"),
+    ("compile-base --p {} --q 5", "--p"),
+    ("compile-base --p 3 --q {}", "--q"),
+    *((f"{command} --kind compiled --p {p} --q {q}", flag)
+      for command in ("circuit", "simulate", "dist")
+      for p, q, flag in (("{}", "5", "--p"), ("3", "{}", "--q"))),
+    *((f"{command} --kind semiclassical --a {a} --n {n} --s {s}", flag)
+      for command in ("circuit", "simulate", "dist")
+      for a, n, s, flag in (("{}", "15", "4", "--a"),
+                            ("2", "{}", "4", "--n"),
+                            ("2", "15", "{}", "--s"))),
+    ("simulate --kind compiled --p 3 --q 5 --seed {}", "--seed"),
+    ("factor --n {}", "--n"),
+    ("factor --p {} --q 5", "--p"),
+    ("factor --p 3 --q {}", "--q"),
+    ("factor --n 15 --seed {}", "--seed"),
+    ("coin-demo --p {} --q 5", "--p"),
+    ("coin-demo --p 3 --q {}", "--q"),
+    ("coin-demo --p 3 --q 5 --tosses {}", "--tosses"),
+    ("coin-demo --p 3 --q 5 --seed {}", "--seed"),
+]
+
+
+def _call_id(call, flag):
+    words = call.split()
+    kind = [words[2]] if words[1] == "--kind" else []
+    return "-".join([words[0], *kind, flag[2:]])
+
 
 # `circuit --kind semiclassical --a 2 --n 33 --s 2 --format json`
 GOLDEN_CIRCUIT_JSON = """\
@@ -522,6 +557,50 @@ class TestUsageErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
         assert "--seed" in error["message"]
+
+    @pytest.mark.parametrize("call, flag", _INT_FLAG_CALLS,
+                             ids=[_call_id(*case) for case in _INT_FLAG_CALLS])
+    @pytest.mark.parametrize("spelling", ["1_0", "+3", "\u0663", "-1",
+                                          "0x10"],
+                             ids=["underscore", "plus", "arabic-indic-3",
+                                  "minus", "hex"])
+    def test_integer_flags_take_plain_decimal_only(self, capsys, call, flag,
+                                                   spelling):
+        # one rule for every integer flag: ASCII digits, nothing else
+        argv = [spelling if token == "{}" else token
+                for token in call.split()]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].split()[0] == flag
+
+    def test_seed_of_any_length_is_echoed(self, capsys):
+        # past the interpreter's 4300-digit int/str conversion limit
+        seed = "7" * 5000
+        code, out, _ = run_cli(capsys, "simulate", "--kind", "compiled",
+                               "--p", "3", "--q", "5", "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
+
+    def test_first_bad_flag_is_named_under_any_hash_seed(self):
+        # with two bad flags, the one reported does not follow the
+        # interpreter's string hashing
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (SRC, env.get("PYTHONPATH"))))
+        argv = [sys.executable, "-m", "shorsim.cli", "coin-demo", "--p", "3",
+                "--q", "5", "--tosses", "1_0", "--seed", "+3"]
+        errors = set()
+        for hash_seed in range(6):
+            env["PYTHONHASHSEED"] = str(hash_seed)
+            done = subprocess.run(argv, capture_output=True, text=True,
+                                  env=env, timeout=60)
+            assert (done.returncode, done.stdout) == (2, "")
+            errors.add(done.stderr)
+        assert len(errors) == 1
+        message = json.loads(errors.pop())["error"]["message"]
+        assert message.split()[0] == "--seed"
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "qubits", "--modulus", "15")

@@ -474,7 +474,7 @@ class TestSerialization:
             assert Circuit(15, 7, s).work_register_span == 4
         assert Circuit(33, 2, 3).work_register_span == 10
 
-    def test_json_span_mismatch_rejected(self):
+    def test_span_is_the_order_and_cannot_be_set(self):
         # the written span is the order of a; no caller can set another
         with pytest.raises(TypeError):
             Circuit(15, 7, 4, work_register_span=5)
@@ -487,7 +487,7 @@ class TestSerialization:
     @pytest.mark.parametrize("field,value", [
         ("num_readout_bits", 7), ("version", 99), ("version", True),
         ("num_readout_bits", 3.0), ("work_register_span", 10.0)])
-    def test_json_declared_field_mismatch_rejected(self, field, value):
+    def test_json_declares_each_field_as_a_plain_int(self, field, value):
         # each declared field is written as the plain int that agrees
         # with the gate list, never as a value that merely equals it
         circuit = build_semiclassical_stages(2, 33, 3)
@@ -531,7 +531,7 @@ class TestSerialization:
         line = circuit.to_text().splitlines()[1]
         assert line == f"CMODMUL {circuit.base} {p * q}"
 
-    def test_only_plain_forms_are_read(self):
+    def test_only_plain_forms_are_written(self):
         # one spelling per value: numbers in the text have no sign and
         # no leading zero; in JSON, stage and bit numbers are ints (not
         # strings, floats or bools) and multiplier and modulus are
