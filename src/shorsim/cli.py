@@ -12,13 +12,15 @@ something fails. Every integer flag takes ASCII decimal digits of any
 length, whitespace ignored as in fixture files; a sign, an underscore,
 a hex prefix or a non-ASCII digit exits 2 with an error naming the
 flag. Exit codes: 0 success, 2 usage or bad input, 3 verification
-failure, 4 refused-as-too-large.
+failure, 4 refused-as-too-large, 141 a result not written because the
+reader closed standard output (quietly, as a writer ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -297,7 +299,17 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         for name in _INT_FLAGS:
             if getattr(args, name, None) is not None:
                 setattr(args, name, _dec(getattr(args, name), f"--{name}"))
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output. Exit as a writer that SIGPIPE
+        # ended would, and send what is still buffered to os.devnull, so
+        # the interpreter's flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except RefusedTooLargeError as exc:
         _emit_error(exc)
         return 4

@@ -26,9 +26,10 @@ Two exact-distribution routes exist on purpose: output_distribution
 enumerates the branches from the IR's stage shifts and feedback phases,
 while dft_oracle_distribution never looks at the IR and builds the
 plain dense-Fourier reference over the 2**s exponent register from the
-order of a alone, one dense FFT per distinct group size. They share
-nothing past that order, so a slip in the IR's shifts or phases or in
-the kernel shows as a gap between them. Tests hold the two together.
+order of a alone, one dense FFT per distinct group size over one
+repeat of its periodic spectrum. They share nothing past that order,
+so a slip in the IR's shifts or phases or in the kernel shows as a gap
+between them. Tests hold the two together.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ if TYPE_CHECKING:
 
 # Exact enumeration refuses beyond these. The readout cap keeps the
 # dense outcome vector a desk-scale object. It bounds the oracle too,
-# whose 2**s-point FFTs cost the same whatever r is; the oracle's other
-# guard is its order scan, multiplicative_order, which refuses
-# n >= ORDER_SCAN_LIMIT.
+# whose FFTs take 2**s / gcd(r, 2**s) points, all 2**s of them for an
+# odd r; the oracle's other guard is its order scan,
+# multiplicative_order, which refuses n >= ORDER_SCAN_LIMIT.
 # The cell cap bounds the 2**s * r cells of one branch enumeration and
 # is a time budget: the kernel holds one chunk of columns at a time, so
 # memory no longer binds. It still counts all r columns, though the
@@ -251,8 +252,11 @@ def _add_comb_power(probs: np.ndarray, step: int, teeth: int,
                     groups: int) -> None:
     """Add groups * |FFT|**2 of `teeth` ones, `step` apart, to probs.
 
-    Each array is dropped once used, and the power is added by slices,
-    so no more than three len(probs)-point arrays are held at once.
+    The transform has len(probs) points: S/g of the oracle's S = 2**s,
+    g = gcd(r, S), one repeat of the spectrum, with `step` = r/g. Each
+    array is dropped once used, and the power is added by slices, so
+    besides probs no more than two len(probs)-point arrays are held at
+    once.
     """
     import numpy as np
 
@@ -274,8 +278,15 @@ def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
     x = j mod r, x < S, for the order r. A shift leaves |FFT|**2 alone,
     so with S = M*r + e the e groups j < e share the spectrum of M + 1
     teeth and the other min(r, S) - e that of M: one dense FFT per
-    distinct group size, weighted by its group count. Independent of
-    the circuit IR and of the branch kernels.
+    distinct group size, weighted by its group count.
+
+    A comb of step r has a spectrum that depends on y only through
+    r*y mod S, so with g = gcd(r, S) it repeats every S/g outcomes.
+    One repeat is the spectrum over S/g points of the same teeth at
+    step r/g, which never wrap, since (teeth - 1)*r < S. Each FFT
+    therefore takes S/g points and the scaled repeat is tiled g times;
+    an odd r has g = 1 and no tiling. Independent of the circuit IR
+    and of the branch kernels.
     """
     import numpy as np
 
@@ -290,12 +301,15 @@ def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
     big_s = 1 << s
     r = multiplicative_order(a, n)
     teeth, longer = divmod(big_s, r)
-    probs = np.zeros(big_s, dtype=np.float64)
+    repeats = math.gcd(r, big_s)
+    probs = np.zeros(big_s // repeats, dtype=np.float64)
     for groups, size in ((longer, teeth + 1),
                          (min(r, big_s) - longer, teeth)):
         if groups:
-            _add_comb_power(probs, r, size, groups)
+            _add_comb_power(probs, r // repeats, size, groups)
     probs /= float(big_s) ** 2
+    if repeats > 1:
+        probs = np.tile(probs, repeats)
     return OutcomeDistribution(probs)
 
 

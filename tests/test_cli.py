@@ -99,6 +99,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """This environment, with the package under test first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestQubits:
     def test_fifteen(self, capsys):
         code, out, _ = run_cli(capsys, "qubits", "--n", "15")
@@ -586,9 +594,7 @@ class TestUsageErrors:
     def test_first_bad_flag_is_named_under_any_hash_seed(self):
         # with two bad flags, the one reported does not follow the
         # interpreter's string hashing
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (SRC, env.get("PYTHONPATH"))))
+        env = child_env()
         argv = [sys.executable, "-m", "shorsim.cli", "coin-demo", "--p", "3",
                 "--q", "5", "--tosses", "1_0", "--seed", "+3"]
         errors = set()
@@ -647,3 +653,24 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "factor" in out
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("argv", [
+        ["qubits", "--n", "15"],
+        ["dist", "--kind", "semiclassical", "--a", "7", "--n", "15",
+         "--s", "4"],
+        ["simulate", "--kind", "compiled", "--p", "3", "--q", "5",
+         "--seed", "7" * 5000],
+    ], ids=["qubits", "dist", "simulate-long-seed"])
+    def test_exits_141_quietly_when_the_reader_is_gone(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes a byte
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "shorsim.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")

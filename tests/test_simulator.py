@@ -373,8 +373,14 @@ class TestExactMemory:
         assert self._peak_mib(lambda: control_reduced_density(circuit)) < 40
 
     def test_oracle(self):
-        # 24 MiB measured: the output, one comb and its half spectrum
-        assert self._peak_mib(lambda: dft_oracle_distribution(8, 15, 20)) < 26
+        # 16 MiB measured: r = 4 folds each transform to 2**18 points, so
+        # the peak is the tiled output and the distribution's own copy
+        assert self._peak_mib(lambda: dft_oracle_distribution(8, 15, 20)) < 18
+
+    def test_oracle_odd_period(self):
+        # 24 MiB measured: an odd r transforms all 2**20 points and tiles
+        # nothing; the output, one comb and its half spectrum
+        assert self._peak_mib(lambda: dft_oracle_distribution(2, 7, 20)) < 26
 
 
 class TestRunCircuit:
@@ -728,10 +734,42 @@ class TestOracleCost:
         dft_oracle_distribution(5, 1009, 14)
         assert 1 <= len(calls) <= 2
 
+    @pytest.mark.parametrize("a,n,s", [
+        (2, 7, 12),      # odd r = 3: all 2**s points
+        (7, 15, 12),     # r = 4 divides 2**s
+        (2, 21, 10),     # r = 6: gcd 2
+        (5, 1009, 14),   # r = 1008: gcd 16
+        (3, 17, 4),      # r = 2**s: one point
+        (3, 65537, 8),   # r = 65536 > 2**s: one point
+    ])
+    def test_transforms_one_repeat_of_the_spectrum(self, monkeypatch,
+                                                    a, n, s):
+        lengths, tiles = [], []
+        rfft, tile = np.fft.rfft, np.tile
+
+        def recorded(x, *args, **kwargs):
+            lengths.append(len(x))
+            return rfft(x, *args, **kwargs)
+
+        def counted(x, reps):
+            tiles.append(reps)
+            return tile(x, reps)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        monkeypatch.setattr(np, "tile", counted)
+        dft_oracle_distribution(a, n, s)
+        repeats = math.gcd(multiplicative_order(a, n), 2 ** s)
+        assert lengths and set(lengths) == {2 ** s // repeats}
+        # an odd r has one repeat, the whole output, and copies nothing
+        assert tiles == ([repeats] if repeats > 1 else [])
+
     # (2, 65519, 11) has 2**11 * r = 67090432 cells, past MAX_DIST_CELLS,
-    # which guards the branch enumeration but not the oracle
+    # which guards the branch enumeration but not the oracle. Each shape
+    # but those two has an even r, so the oracle folds its transforms.
     @pytest.mark.parametrize("a,n,s", [(5, 1009, 14), (2, 65519, 8),
-                                       (2, 65519, 11)])
+                                       (2, 65519, 11), (7, 15, 12),
+                                       (3, 17, 4), (3, 65537, 8),
+                                       (2, 21, 10)])
     def test_matches_one_fft_per_group(self, a, n, s):
         want = _one_fft_per_group(a, n, s)
         got = dft_oracle_distribution(a, n, s).as_array()

@@ -1,11 +1,16 @@
-"""Record the benchmark of one checkout into BENCH_<label>.json.
+"""Record the benchmark into BENCH_<label>.json, of one checkout or of
+a change against its parent.
 
     python3 tools/bench_record.py --label baseline --seeds 1 2 3
+    python3 tools/bench_record.py --label pr31 --parent HEAD~1 --seeds 1 2 3
 
 Runs the command that BENCHMARK.json names (perfbench/run.py) for every
-workload it lists, at --trace 0 and --trace 1, once per seed, for the
-run_seconds it fixes. Runs go one at a time, in the checkout that holds
-this file. The output file, written at that checkout's root, holds:
+workload it lists, once per seed, for the run_seconds it fixes, one run
+at a time. The output file is written at the root of the checkout that
+holds this file.
+
+Without --parent, the runs go in that checkout, at --trace 0 and
+--trace 1. The file holds:
 
 - every run's workload, seed, trace setting, exit code and the summary
   that run.py printed as its last line (standard error instead, when
@@ -14,6 +19,18 @@ this file. The output file, written at that checkout's root, holds:
   runs that exited 0 with every output correct;
 - the seeds, the seconds, the Python, numpy and sympy versions of the
   interpreter that ran the benchmark, nproc and the git commit.
+
+With --parent REV, the committed trees of REV and of HEAD are cloned
+into sibling directories of one temporary directory, "parent" and
+"change", so that neither side runs from a path the other lacks;
+uncommitted edits are not measured. Both must hold the same
+BENCHMARK.json. Each seed runs each workload at --trace 0 on both
+sides, one right after the other, and the side that goes first
+alternates from seed to seed. The file holds each side's commit, runs
+and medians, and per workload and metric with a known direction a
+comparison: each side's median and quartiles, the pairs each side won
+(ties count for neither), and for the end-to-end metrics the relative
+change of the median next to the bound BENCHMARK.json fixes.
 """
 
 from __future__ import annotations
@@ -24,10 +41,15 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACES = (0, 1)
+SIDES = ("parent", "change")
+# A gain is shown when the change wins this share of all pairs and its
+# median is better by more than the parent's interquartile range.
+GAIN_SHARE = 0.9
 
 _VERSIONS = """\
 import importlib.metadata as md, json, platform
@@ -52,9 +74,9 @@ def run_benchmark(command: list[str], root: Path, workload: str, seed: int,
 
 
 def one_run(workload: str, seed: int, trace: int, code: int, stdout: str,
-            stderr: str) -> dict:
+            stderr: str, **tags) -> dict:
     """A run's record: run.py's summary, or its error if it printed none."""
-    run = {"workload": workload, "seed": seed, "trace": trace,
+    run = {**tags, "workload": workload, "seed": seed, "trace": trace,
            "exit_code": code}
     lines = stdout.strip().splitlines()
     try:
@@ -102,6 +124,21 @@ def git_commit(root: Path) -> dict:
             "dirty": None if status is None else status != ""}
 
 
+def _log(run: dict) -> dict:
+    print(json.dumps({k: run[k] for k in ("side", "workload", "seed", "trace",
+                                          "exit_code") if k in run}),
+          file=sys.stderr)
+    return run
+
+
+def _environment(command: list[str]) -> dict:
+    """Versions of the benchmark's interpreter and the CPUs it may use."""
+    versions = json.loads(subprocess.run(
+        [command[0], "-c", _VERSIONS], capture_output=True, text=True,
+        check=True).stdout)
+    return {**versions, "nproc": len(os.sched_getaffinity(0))}
+
+
 def record(label: str, seeds: list[int], root: Path = ROOT,
            runner=run_benchmark) -> dict:
     """Run every workload at both trace settings for each seed and
@@ -116,25 +153,142 @@ def record(label: str, seeds: list[int], root: Path = ROOT,
             for trace in TRACES:
                 code, out, err = runner(command, root, workload, seed,
                                         seconds, trace)
-                run = one_run(workload, seed, trace, code, out, err)
-                print(json.dumps({k: run[k] for k in
-                                  ("workload", "seed", "trace", "exit_code")}),
-                      file=sys.stderr)
-                runs.append(run)
-    versions = json.loads(subprocess.run(
-        [command[0], "-c", _VERSIONS], capture_output=True, text=True,
-        check=True).stdout)
+                runs.append(_log(one_run(workload, seed, trace, code, out,
+                                         err)))
     return {
         "label": label,
         **git_commit(root),
         "command": command,
         "seeds": seeds,
         "seconds": seconds,
-        **versions,
-        "nproc": len(os.sched_getaffinity(0)),
+        **_environment(command),
         "median": medians(runs),
         "runs": runs,
     }
+
+
+def operations(runs: list[dict]) -> dict:
+    """{workload: {"runs", "attempted", "failed"}}; a run with no summary
+    counts as a run and nothing else."""
+    out: dict = {}
+    for run in runs:
+        row = out.setdefault(run["workload"],
+                             {"runs": 0, "attempted": 0, "failed": 0})
+        row["runs"] += 1
+        summary = run.get("summary")
+        if summary is not None:
+            row["attempted"] += summary["attempted"]
+            row["failed"] += summary["failed"]
+    return out
+
+
+def _spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def compare(runs: list[dict], bench: dict) -> dict:
+    """{workload: {metric: comparison}} over the pairs in which both
+    sides' runs exited 0 with every output correct."""
+    better = {m["name"]: m["better"]
+              for m in bench["end_to_end"] + bench.get("per_layer", [])}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    pairs: dict = {}
+    for run in runs:
+        summary = run.get("summary")
+        if summary is not None and summary["correct"]:
+            pairs.setdefault((run["workload"], run["seed"]), {})[
+                run["side"]] = summary["metrics"]
+    values: dict = {}
+    for (workload, _), sides in pairs.items():
+        if len(sides) < 2:
+            continue
+        for name in sides["parent"].keys() & sides["change"].keys() & \
+                better.keys():
+            values.setdefault(workload, {}).setdefault(name, []).append(
+                tuple(sides[side][name]["value"] for side in SIDES))
+    out: dict = {}
+    for workload, metrics in values.items():
+        for name in sorted(metrics):
+            sign = 1 if better[name] == "lower" else -1
+            both = metrics[name]
+            parent = _spread([p for p, _ in both])
+            change = _spread([c for _, c in both])
+            won = sum(sign * (p - c) > 0 for p, c in both)
+            lost = sum(sign * (c - p) > 0 for p, c in both)
+            gain = sign * (parent["median"] - change["median"])
+            row = {"better": better[name], "pairs": len(both),
+                   "change_won": won, "parent_won": lost,
+                   "parent": parent, "change": change,
+                   "gain_shown": (won >= GAIN_SHARE * len(both)
+                                  and gain > parent["q3"] - parent["q1"])}
+            if name in bounds:
+                rel = (None if parent["median"] == 0 else
+                       (change["median"] - parent["median"])
+                       / parent["median"])
+                row.update(relative_change=rel, bound=bounds[name],
+                           within_bound=(None if rel is None else
+                                         sign * rel <= bounds[name]))
+            out.setdefault(workload, {})[name] = row
+    return out
+
+
+def record_pairs(label: str, seeds: list[int], checkouts: dict,
+                 parent_rev: str, runner=run_benchmark) -> dict:
+    """Run every workload at --trace 0 on both checkouts ({"parent": dir,
+    "change": dir}) for each seed, alternating which goes first, and
+    return the BENCH_<label>.json document."""
+    texts = {side: (checkouts[side] / "BENCHMARK.json").read_text()
+             for side in SIDES}
+    if texts["parent"] != texts["change"]:
+        raise ValueError("the two sides hold different BENCHMARK.json files;"
+                         " a pair measures one benchmark")
+    bench = json.loads(texts["change"])
+    command = bench["command"]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    runs = []
+    for index, seed in enumerate(seeds):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                code, out, err = runner(command, checkouts[side], workload,
+                                        seed, seconds, 0)
+                runs.append(_log(one_run(workload, seed, 0, code, out, err,
+                                         side=side)))
+    return {
+        "label": label,
+        "command": command,
+        "seeds": seeds,
+        "seconds": seconds,
+        **_environment(command),
+        "first": [SIDES[index % 2] for index in range(len(seeds))],
+        **{side: {**({"rev": parent_rev} if side == "parent" else {}),
+                  **git_commit(checkouts[side]),
+                  "operations": operations([r for r in runs
+                                            if r["side"] == side]),
+                  "median": medians([r for r in runs if r["side"] == side])}
+           for side in SIDES},
+        "compare": compare(runs, bench),
+        "runs": runs,
+    }
+
+
+def clone(rev: str, dest: Path, root: Path = ROOT) -> None:
+    """A fresh clone of root at the commit rev names, detached."""
+    done = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        cwd=root, stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bench_record: no commit named {rev!r}")
+    commit = done.stdout.strip()
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(root),
+                    str(dest)], check=True)
+    subprocess.run(["git", "checkout", "--quiet", "--detach", commit],
+                   cwd=dest, check=True)
 
 
 def main(argv=None) -> int:
@@ -142,10 +296,19 @@ def main(argv=None) -> int:
                                      allow_abbrev=False)
     parser.add_argument("--label", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--parent", metavar="REV",
+                        help="pair HEAD with this commit, in fresh clones")
     args = parser.parse_args(argv)
     if not args.label.replace("-", "").replace("_", "").isalnum():
         parser.error("--label takes letters, digits, '-' and '_' only")
-    doc = record(args.label, args.seeds)
+    if args.parent is None:
+        doc = record(args.label, args.seeds)
+    else:
+        with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
+            checkouts = {side: Path(tmp) / side for side in SIDES}
+            clone(args.parent, checkouts["parent"])
+            clone("HEAD", checkouts["change"])
+            doc = record_pairs(args.label, args.seeds, checkouts, args.parent)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
