@@ -2,7 +2,7 @@
 a change against its parent.
 
     python3 tools/bench_record.py --label baseline --seeds 1 2 3
-    python3 tools/bench_record.py --label pr31 --parent HEAD~1 --seeds 1 2 3
+    python3 tools/bench_record.py --label paired --parent HEAD~1 --seeds 1 2 3
 
 Runs the command that BENCHMARK.json names (perfbench/run.py) for every
 workload it lists, once per seed, for the run_seconds it fixes, one run
@@ -259,6 +259,15 @@ def record_pairs(label: str, seeds: list[int], checkouts: dict,
                                         seed, seconds, 0)
                 runs.append(_log(one_run(workload, seed, 0, code, out, err,
                                          side=side)))
+    per_side = {}
+    for side in SIDES:
+        mine = [run for run in runs if run["side"] == side]
+        per_side[side] = {
+            **({"rev": parent_rev} if side == "parent" else {}),
+            **git_commit(checkouts[side]),
+            "operations": operations(mine),
+            "median": medians(mine),
+        }
     return {
         "label": label,
         "command": command,
@@ -266,12 +275,7 @@ def record_pairs(label: str, seeds: list[int], checkouts: dict,
         "seconds": seconds,
         **_environment(command),
         "first": [SIDES[index % 2] for index in range(len(seeds))],
-        **{side: {**({"rev": parent_rev} if side == "parent" else {}),
-                  **git_commit(checkouts[side]),
-                  "operations": operations([r for r in runs
-                                            if r["side"] == side]),
-                  "median": medians([r for r in runs if r["side"] == side])}
-           for side in SIDES},
+        **per_side,
         "compare": compare(runs, bench),
         "runs": runs,
     }
