@@ -7,13 +7,6 @@ shortcut, and reporting that always states the size of the period
 actually found next to the size of the modulus.
 """
 
-from .coinlab import (
-    CoinRun,
-    chi_square_binomial,
-    chi_square_critical,
-    chi_square_heads_tails,
-    coin_factor_demo,
-)
 from .compiler import (
     Circuit,
     CompiledBase,
@@ -48,13 +41,14 @@ from .numtheory import (
     is_probable_prime,
     multiplicative_order,
     parse_decimal,
-    random_probable_prime,
     to_decimal,
 )
 from .postprocess import (
     AttemptRecord,
+    CoinRun,
     FactorReport,
     PeriodCandidate,
+    coin_factor_demo,
     derive_factors,
     extract_period,
     run_full_algorithm,
@@ -72,11 +66,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinRun",
-    "chi_square_binomial",
-    "chi_square_critical",
-    "chi_square_heads_tails",
-    "coin_factor_demo",
     "Circuit",
     "CompiledBase",
     "QubitBudget",
@@ -104,11 +93,12 @@ __all__ = [
     "is_probable_prime",
     "multiplicative_order",
     "parse_decimal",
-    "random_probable_prime",
     "to_decimal",
     "AttemptRecord",
+    "CoinRun",
     "FactorReport",
     "PeriodCandidate",
+    "coin_factor_demo",
     "derive_factors",
     "extract_period",
     "run_full_algorithm",

@@ -12,8 +12,9 @@ something fails. Every integer flag takes ASCII decimal digits of any
 length, whitespace ignored as in fixture files; a sign, an underscore,
 a hex prefix or a non-ASCII digit exits 2 with an error naming the
 flag. Exit codes: 0 success, 2 usage or bad input, 3 verification
-failure, 4 refused-as-too-large, 141 a result not written because the
-reader closed standard output (quietly, as a writer ended by SIGPIPE).
+failure, 4 refused-as-too-large, 141 a result or help text not written
+because the reader closed standard output (quietly, as a writer ended
+by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import os
 import sys
 from typing import Optional
 
-from .coinlab import coin_factor_demo
 from .compiler import (
     build_compiled_circuit,
     build_semiclassical_stages,
@@ -35,7 +35,7 @@ from .compiler import (
 from .errors import DomainError, RefusedTooLargeError, VerificationError
 from .fixtures import load_fixture, verify_fixture
 from .numtheory import Semiprime, parse_decimal, to_decimal
-from .postprocess import run_full_algorithm
+from .postprocess import coin_factor_demo, run_full_algorithm
 from .simulator import output_distribution, run_circuit
 
 _JSON_KW = {"indent": 2, "sort_keys": True}
@@ -212,6 +212,14 @@ def _cmd_verify_supplementary(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help written to a closed standard
+    output raises BrokenPipeError instead of being dropped unseen."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def _add_subcommand(sub, name: str, handler, help: str):
     """A subcommand parser that refuses abbreviated flags and keeps
     itself in the namespace, to report flags it does not know."""
@@ -221,7 +229,7 @@ def _add_subcommand(sub, name: str, handler, help: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shorsim",
         description="Factoring-demonstration toolkit: honest simulation "
                     "of short periods, the compiled shortcut, and the coin "
@@ -281,9 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
+def _parse_and_run(parser: argparse.ArgumentParser, argv: list[str]) -> int:
     try:
         # parse_args would report a stray flag with the top-level usage;
         # shorsim itself takes only -h, so anything before the
@@ -294,12 +300,29 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
                      else args.subparser)
             owner.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:
+        # -h wrote its help, or a usage error was reported
         return exc.code if isinstance(exc.code, int) else 2
     try:
         for name in _INT_FLAGS:
             if getattr(args, name, None) is not None:
                 setattr(args, name, _dec(getattr(args, name), f"--{name}"))
-        code = args.handler(args)
+        return args.handler(args)
+    except RefusedTooLargeError as exc:
+        _emit_error(exc)
+        return 4
+    except VerificationError as exc:
+        _emit_error(exc)
+        return 3
+    except DomainError as exc:
+        _emit_error(exc)
+        return 2
+
+
+def dispatch(argv: Optional[list[str]] = None) -> int:
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        code = _parse_and_run(parser, argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -310,15 +333,6 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except RefusedTooLargeError as exc:
-        _emit_error(exc)
-        return 4
-    except VerificationError as exc:
-        _emit_error(exc)
-        return 3
-    except DomainError as exc:
-        _emit_error(exc)
-        return 2
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -15,7 +15,6 @@ no RNG, and with no known composite that passes it.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -237,16 +236,6 @@ def is_probable_prime(n: int) -> bool:
     if quick is not None:
         return quick
     return _strong_probable_prime_base2(n) and _strong_lucas_probable_prime(n)
-
-
-def random_probable_prime(bits: int, rng: random.Random) -> int:
-    """Random probable prime with exactly `bits` bits."""
-    if bits < 2:
-        raise DomainError("a prime needs at least 2 bits")
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate):
-            return candidate
 
 
 def _validate_odd_prime(x: int, name: str) -> None:

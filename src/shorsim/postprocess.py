@@ -8,6 +8,12 @@ FactorReport. Every report carries a plainly worded
 note comparing the bit length of the period actually found against the
 bit length of the modulus; for the compiled path those two numbers tell
 the whole story.
+
+The compiled two-qubit circuit's readout is an unbiased bit, so a fair
+coin is a drop-in replacement: heads plays y = 1 (period recovered),
+tails plays y = 0 (try again). Coin mode runs that replacement inside
+the loop, and coin_factor_demo counts a series of the same tosses in
+pure Python with one-sigma binomial error bars.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from ._pcg64 import random_stream
@@ -363,8 +370,8 @@ def run_full_algorithm(
     Compiled and coin modes build the one-stage circuit of the CRT
     period-2 base once (factors required).
     Compiled mode simulates it in scalars; coin mode reads y = 1 on
-    heads of coin_tosses(seed), the coin that coinlab's series counts,
-    so neither mode loads numpy.
+    heads of coin_tosses(seed), the coin that coin_factor_demo's series
+    counts, so neither mode loads numpy.
     Every mode refuses a negative seed before any pre-step.
     Deterministic per seed; exhausting max_attempts yields a report
     with factors = None rather than an exception.
@@ -443,3 +450,62 @@ def run_full_algorithm(
 
     return FactorReport(n=n, factors=factors, mode=mode, seed=seed,
                         attempt_details=tuple(details))
+
+
+@dataclass(frozen=True)
+class CoinRun:
+    """Toss statistics for one series, with the plug-in binomial error.
+
+    sigma = sqrt(p_hat * (1 - p_hat) / tosses); zero when every toss
+    agreed, which is the honest reading of a plug-in estimate.
+    """
+
+    label: str
+    tosses: int
+    heads: int
+
+    def __post_init__(self) -> None:
+        if self.tosses < 1:
+            raise DomainError("a coin run needs at least one toss")
+        if not 0 <= self.heads <= self.tosses:
+            raise DomainError("heads count out of range")
+
+    @property
+    def p_hat(self) -> float:
+        return self.heads / self.tosses
+
+    @property
+    def sigma(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.tosses)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "tosses": self.tosses,
+            "heads": self.heads,
+            "p_hat": self.p_hat,
+            "sigma": self.sigma,
+        }
+
+
+def coin_factor_demo(sp: Semiprime, n_tosses: int,
+                     seed: int) -> tuple[CoinRun, FactorReport]:
+    """Factor a semiprime with a coin.
+
+    The report is run_full_algorithm's coin mode with n_tosses
+    attempts: the first heads is read as y = 1 from the compiled
+    circuit, giving period 2 and the factors via the CRT base, and all
+    tails means no period this series. The CoinRun counts the whole
+    series of n_tosses from the same coin_tosses(seed), tosses after the
+    first heads included, one at a time, so its memory does not grow
+    with n_tosses. Requires known factors, exactly like the compiled
+    pipeline it shadows.
+    """
+    if n_tosses < 1:
+        raise DomainError("a coin run needs at least one toss")
+    report = run_full_algorithm(sp, mode="coin", seed=seed,
+                                max_attempts=n_tosses)
+    n_bits = sp.n.bit_length()
+    label = to_decimal(sp.n) if n_bits <= 64 else f"{n_bits}-bit semiprime"
+    heads = sum(islice(coin_tosses(seed), n_tosses))
+    return CoinRun(label, n_tosses, heads), report

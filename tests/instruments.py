@@ -1,24 +1,19 @@
-"""Toss statistics for the coin-toss reduction of the compiled circuit.
+"""Instruments the tests measure the package with.
 
-The compiled two-qubit circuit's readout is an unbiased bit, so a fair
-coin is a drop-in replacement: heads plays y = 1 (period recovered),
-tails plays y = 0 (try again). The replacement runs inside
-postprocess.run_full_algorithm as its coin mode; this module counts a
-series of the same tosses, postprocess.coin_tosses, in pure Python
-with one-sigma binomial error bars, and provides the chi-square helpers
-the statistical checks lean on.
+Chi-square gates that hold a toss series to a fair coin, and a seeded
+generator of random probable primes. No package code calls them, so
+they live with the tests; test modules import them as `instruments`,
+since pytest puts this directory on sys.path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import islice
+import random
 from typing import Sequence
 
-from .errors import DomainError
-from .numtheory import Semiprime, to_decimal
-from .postprocess import FactorReport, coin_tosses, run_full_algorithm
+from shorsim.errors import DomainError
+from shorsim.numtheory import is_probable_prime
 
 # chi-square critical value, 1 degree of freedom, significance 0.001
 CHI2_1DOF_P999 = 10.8276
@@ -28,63 +23,14 @@ CHI2_1DOF_P999 = 10.8276
 _Z_P999 = 3.090232
 
 
-@dataclass(frozen=True)
-class CoinRun:
-    """Toss statistics for one series, with the plug-in binomial error.
-
-    sigma = sqrt(p_hat * (1 - p_hat) / tosses); zero when every toss
-    agreed, which is the honest reading of a plug-in estimate.
-    """
-
-    label: str
-    tosses: int
-    heads: int
-
-    def __post_init__(self) -> None:
-        if self.tosses < 1:
-            raise DomainError("a coin run needs at least one toss")
-        if not 0 <= self.heads <= self.tosses:
-            raise DomainError("heads count out of range")
-
-    @property
-    def p_hat(self) -> float:
-        return self.heads / self.tosses
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.tosses)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "tosses": self.tosses,
-            "heads": self.heads,
-            "p_hat": self.p_hat,
-            "sigma": self.sigma,
-        }
-
-
-def coin_factor_demo(sp: Semiprime, n_tosses: int,
-                     seed: int) -> tuple[CoinRun, FactorReport]:
-    """Factor a semiprime with a coin.
-
-    The report is run_full_algorithm's coin mode with n_tosses
-    attempts: the first heads is read as y = 1 from the compiled
-    circuit, giving period 2 and the factors via the CRT base, and all
-    tails means no period this series. The CoinRun counts the whole
-    series of n_tosses from the same coin_tosses(seed), tosses after the
-    first heads included, one at a time, so its memory does not grow
-    with n_tosses. Requires known factors, exactly like the compiled
-    pipeline it shadows.
-    """
-    if n_tosses < 1:
-        raise DomainError("a coin run needs at least one toss")
-    report = run_full_algorithm(sp, mode="coin", seed=seed,
-                                max_attempts=n_tosses)
-    n_bits = sp.n.bit_length()
-    label = to_decimal(sp.n) if n_bits <= 64 else f"{n_bits}-bit semiprime"
-    heads = sum(islice(coin_tosses(seed), n_tosses))
-    return CoinRun(label, n_tosses, heads), report
+def random_probable_prime(bits: int, rng: random.Random) -> int:
+    """Random probable prime with exactly `bits` bits."""
+    if bits < 2:
+        raise DomainError("a prime needs at least 2 bits")
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_probable_prime(candidate):
+            return candidate
 
 
 def chi_square_heads_tails(heads: int, tosses: int) -> float:

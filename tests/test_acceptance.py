@@ -11,12 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-from shorsim.coinlab import (
-    CHI2_1DOF_P999,
-    chi_square_binomial,
-    chi_square_heads_tails,
-    coin_factor_demo,
-)
 from shorsim.compiler import (
     build_compiled_circuit,
     build_semiclassical_stages,
@@ -24,13 +18,10 @@ from shorsim.compiler import (
     zalka_qubit_count,
 )
 from shorsim.fixtures import load_fixture
-from shorsim.numtheory import (
-    Semiprime,
-    multiplicative_order,
-    random_probable_prime,
-)
+from shorsim.numtheory import Semiprime, multiplicative_order
 from shorsim.postprocess import (
     MAX_PERIOD_MULTIPLIER,
+    coin_factor_demo,
     derive_factors,
     extract_period,
     run_full_algorithm,
@@ -40,6 +31,13 @@ from shorsim.simulator import (
     output_distribution,
     run_circuit,
     total_variation,
+)
+
+from instruments import (
+    CHI2_1DOF_P999,
+    chi_square_binomial,
+    chi_square_heads_tails,
+    random_probable_prime,
 )
 
 

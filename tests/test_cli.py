@@ -662,14 +662,25 @@ class TestClosedOutput:
          "--s", "4"],
         ["simulate", "--kind", "compiled", "--p", "3", "--q", "5",
          "--seed", "7" * 5000],
-    ], ids=["qubits", "dist", "simulate-long-seed"])
-    def test_exits_141_quietly_when_the_reader_is_gone(self, argv):
+        ["--help"],
+        ["factor", "--help"],
+    ], ids=["qubits", "dist", "simulate-long-seed", "help", "factor-help"])
+    # buffered, the write fails in the flush at the end; unbuffered, in
+    # the write itself, which argparse alone would swallow for help
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_exits_141_quietly_when_the_reader_is_gone(self, argv,
+                                                       unbuffered):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)  # closed before the child writes a byte
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "shorsim.cli", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
                 timeout=60)
         finally:
             os.close(write_end)

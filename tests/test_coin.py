@@ -1,25 +1,21 @@
-"""Coin-toss reduction: statistics, the demo loop, chi-square helpers."""
+"""Coin-toss reduction: toss statistics and the demo loop."""
 
 import math
-import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from shorsim import postprocess
-from shorsim.coinlab import (
-    CHI2_1DOF_P999,
-    CoinRun,
-    chi_square_binomial,
-    chi_square_critical,
-    chi_square_heads_tails,
-    coin_factor_demo,
-)
 from shorsim.errors import CompilationRequiresFactorsError, DomainError
 from shorsim.fixtures import load_fixture
 from shorsim.numtheory import Semiprime
-from shorsim.postprocess import MODE_COIN, run_full_algorithm
+from shorsim.postprocess import (
+    MODE_COIN,
+    CoinRun,
+    coin_factor_demo,
+    run_full_algorithm,
+)
 
 
 class TestCoinRun:
@@ -170,69 +166,3 @@ class TestCoinFactorDemo:
         assert via_coin.factors == via_sim.factors
         assert via_coin.period_found == via_sim.period_found
         assert via_coin.base_used == via_sim.base_used
-
-
-class TestChiSquare:
-    def test_heads_tails_statistic(self):
-        assert chi_square_heads_tails(50, 100) == 0.0
-        assert chi_square_heads_tails(60, 100) == pytest.approx(4.0)
-        assert chi_square_heads_tails(0, 100) == pytest.approx(100.0)
-
-    def test_fair_data_passes(self):
-        run = _toss_run(100_000, 5)
-        assert chi_square_heads_tails(run.heads, run.tosses) < CHI2_1DOF_P999
-
-    def test_biased_data_fails(self):
-        # a 60/40 coin at this sample size is unmistakable
-        rng = np.random.Generator(np.random.PCG64(0))
-        heads = int((rng.random(100_000) < 0.6).sum())
-        assert chi_square_heads_tails(heads, 100_000) > CHI2_1DOF_P999
-
-    def test_critical_value_one_dof_is_exact(self):
-        assert chi_square_critical(1) == CHI2_1DOF_P999
-
-    def test_critical_value_approximation_tracks_tables(self):
-        table = {2: 13.816, 5: 20.515, 10: 29.588, 20: 45.315,
-                 50: 86.661, 100: 149.449}
-        for dof, want in table.items():
-            got = chi_square_critical(dof)
-            assert abs(got - want) / want < 0.03
-
-    def test_binomial_fit_on_honest_samples(self):
-        rng = random.Random(77)
-        counts = [sum(rng.random() < 0.5 for _ in range(20))
-                  for _ in range(4000)]
-        stat, dof, crit = chi_square_binomial(counts, 20)
-        assert dof >= 2
-        assert stat < crit
-
-    def test_binomial_fit_rejects_constant_data(self):
-        stat, _, crit = chi_square_binomial([10] * 4000, 20)
-        assert stat > crit
-
-    def test_binomial_bins_meet_minimum_expectation(self):
-        # with few runs the outcome bins must merge rather than divide
-        # by near-zero expectations
-        stat, dof, _ = chi_square_binomial([5, 5, 6, 4, 5, 5, 5, 6] * 4, 10)
-        assert dof >= 1
-        assert math.isfinite(stat)
-
-    def test_binomial_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            chi_square_binomial([], 10)
-        with pytest.raises(DomainError):
-            chi_square_binomial([11], 10)
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: chi_square_heads_tails(0, 0), "need at least one toss"),
-    (lambda: chi_square_heads_tails(3, 2), "heads count out of range"),
-    (lambda: chi_square_critical(0), "degrees of freedom must be positive"),
-    (lambda: chi_square_binomial([0], 0), "need at least one toss per run"),
-    # expected counts of 1/2 merge into one bin, leaving nothing to fit
-    (lambda: chi_square_binomial([0], 1), "too few runs"),
-], ids=["heads-tails-no-tosses", "heads-tails-too-many-heads",
-        "critical-no-dof", "binomial-no-tosses", "binomial-one-bin"])
-def test_input_checks_refuse(call, message):
-    with pytest.raises(DomainError, match=message):
-        call()

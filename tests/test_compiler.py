@@ -30,12 +30,10 @@ from shorsim.errors import (
     RefusedTooLargeError,
 )
 from shorsim.fixtures import load_fixture
-from shorsim.numtheory import (
-    Semiprime,
-    multiplicative_order,
-    random_probable_prime,
-)
+from shorsim.numtheory import Semiprime, multiplicative_order
 from shorsim.postprocess import run_full_algorithm
+
+from instruments import random_probable_prime
 
 
 class TestQubitBudget:

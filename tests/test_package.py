@@ -42,9 +42,10 @@ def _numpy_loaded(argv):
 
 
 def test_public_surface():
-    # each name is reached by the CLI, the README, the benchmark or the
-    # acceptance tests, or is what one of those gets back; a new export
-    # has to be added here on purpose
+    # each name is reached by the CLI, the README or the benchmark, or is
+    # what one of those gets back; what only the tests use lives in
+    # tests/instruments.py, and a new export has to be added here on
+    # purpose
     assert sorted(shorsim.__all__) == [
         "AttemptRecord", "Circuit", "CoinRun",
         "CompilationRequiresFactorsError", "CompiledBase", "Convergent",
@@ -53,14 +54,13 @@ def test_public_surface():
         "RefusedTooLargeError", "Semiprime", "ShorsimError", "SimulationError",
         "StageRecord", "SupplementaryFixture", "VerificationError",
         "__version__", "build_compiled_circuit", "build_semiclassical_stages",
-        "chi_square_binomial", "chi_square_critical", "chi_square_heads_tails",
         "coin_factor_demo", "continued_fraction_convergents",
         "control_reduced_density",
         "default_s", "derive_factors", "dft_oracle_distribution",
         "extract_period", "find_period2_base", "find_period2_bases",
         "fixture_root", "is_probable_prime", "load_fixture",
         "multiplicative_order", "output_distribution",
-        "parse_decimal", "random_probable_prime", "run_circuit",
+        "parse_decimal", "run_circuit",
         "run_full_algorithm", "to_decimal", "total_variation",
         "verify_fixture", "work_orbit", "zalka_qubit_count",
     ]
