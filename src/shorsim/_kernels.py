@@ -26,15 +26,14 @@ weights over the columns. cos theta is taken as
 cos(alpha)*cos(beta) + sin(alpha)*sin(beta): one trig row per stage
 over the columns, one per stage over the branches.
 
-Columns are independent, so they are enumerated in chunks. Only the
-first s - L stages are stored as branches, L = min(FOLD_STAGES, s);
-the last L are folded into moments. Per stored prefix, the weights
-are summed over the columns against the 3**L products of
-(1, cos alpha_k, sin alpha_k) over the folded stages k. Since
-cos theta_k is linear in cos alpha_k and sin alpha_k, these moments
-are enough to split each prefix by one folded stage after another,
-(E +- F)/2 with E the moments against 1 and F those against
-cos theta_k, and the sums over the columns never have to be redone.
+Only the first s - L stages are stored as branches, L =
+min(FOLD_STAGES, s); the last L are folded into moments, each stored
+prefix's weights summed over the columns against the 3**L products of
+(1, cos alpha_k, sin alpha_k) over the folded stages k. As cos theta_k
+is linear in cos alpha_k and sin alpha_k, these moments split each
+prefix by one folded stage after another, (E +- F)/2 with E the
+moments against 1 and F those against cos theta_k, and the sums over
+the columns are never redone.
 
 Columns that share every stored stage share their branch weights.
 Stored stage k sees column m only through m*t_k mod r, so if g divides
@@ -45,9 +44,16 @@ are summed over its g members m + j*r/g before they meet the weights.
 For the circuit's shifts t_k = 2**(s-k) mod r, g = gcd(r, 2**L) when a
 stage is stored (up to 4 for even r, 1 for odd r); with none stored,
 all columns are one class. The branch tree thus costs
-O(2**(s-L) * r/gcd(r, 2**L)) cells, not 2**s * r. Memory is
-O(2**(s-L) * chunk) float64 for the branches plus 3**L * 2**(s-L) for
-the moments, whatever r is.
+O(2**(s-L) * r/gcd(r, 2**L)) cells, not 2**s * r.
+
+A block of stored prefixes is split as soon as its moments are
+complete over every class, straight into the output. A tree of one
+block is grown a column chunk at a time; a larger one grows its first
+d stages once, d the least with classes * 2**(s-L-d) <= CHUNK_CELLS,
+then from each node j a subtree whose leaves j + 2**d * t are a
+stride-2**d slice of the feedback rows and of the output. Beside the
+output, memory is the 2**(s-1)-angle feedback table, at most
+CHUNK_CELLS branch cells and one block's moments, whatever r is.
 """
 
 from __future__ import annotations
@@ -60,26 +66,17 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-# Cells in one chunk's weight array (2**(s-L) branches x chunk columns).
-# Of 2**16, 2**17 and 2**18, 2**18 ran fastest on the benchmark's exact
-# cases, by about 6% over 2**17 summed over the five; at s = 20 a
-# chunk is one column with any of them.
+# Cells in one weight array: 2**(s-L) branches x a chunk's columns, or
+# a subtree's leaves x every class. Of 2**16 to 2**19, 2**18 ran fastest
+# or within noise of it, summed over the benchmark's exact cases.
 CHUNK_CELLS = 1 << 18
 
 # Readout stages folded into moments instead of stored as branches.
 FOLD_STAGES = 2
 
-# Prefixes per block when a chunk adds its moments: the (3**L, block)
-# product stays in cache, and no 3**L x 2**(s-L) temporary is made.
+# Prefixes per block of moments: the (3**L, block) product stays in
+# cache while it is split.
 _PREFIX_BLOCK = 1 << 12
-
-
-def _unit_circle(denominator: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2*pi*j/denominator for j in range(denominator)."""
-    import numpy as np
-
-    angles = (2.0 * np.pi / denominator) * np.arange(denominator)
-    return np.cos(angles), np.sin(angles)
 
 
 def _feedback_table(s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,23 +107,25 @@ def branch_states_numpy(
     feedback: Sequence[tuple[np.ndarray, np.ndarray]],
     weights: np.ndarray,
     scratch: np.ndarray,
+    start: np.ndarray | float,
 ) -> np.ndarray:
-    """Branch weights after the first K stages, over one column chunk.
+    """Branch weights after K more stages, over one column chunk.
 
     column_cos, column_sin: float64[K, C], cos and sin of alpha for
-    stage k (row k-1) and each column of the chunk. feedback[k-1] is
-    cos and sin of beta for stage k, each float64[2**(k-1)]. weights,
-    float64[2**K, C], receives the result and is returned; scratch
-    holds at least 2**(K-1) * C floats.
+    each stage (one row each) and each column of the chunk. feedback[i]
+    is cos and sin of beta for the (i+1)-th stage, each float64[2**i].
+    weights, float64[2**K, C], receives the result and is returned;
+    scratch holds at least 2**(K-1) * C floats. start, a float or
+    float64[C], is the weights of the branch that the stages split.
 
-    Row y of the result holds prefix y's weights, each the product over
-    stages of (1 +- cos theta). The 1/2 of every stage and the 1/r of
-    the start state are left to the caller: 2**-K is exact.
+    Row y of the result holds prefix y's weights, each start times the
+    product over stages of (1 +- cos theta). The 1/2 of every stage and
+    the 1/r of the start state are left to the caller: 2**-K is exact.
     """
     import numpy as np
 
     stages, width = column_cos.shape
-    weights[0] = 1.0
+    weights[0] = start
     branches = 1
     for k in range(1, stages + 1):
         beta_cos, beta_sin = feedback[k - 1]
@@ -145,43 +144,84 @@ def branch_states_numpy(
     return weights
 
 
-def _folded_moments(
-    shifts: Sequence[int], span: int,
-    feedback: Sequence[tuple[np.ndarray, np.ndarray]], scale: float,
-) -> np.ndarray:
-    """Weights of the stored prefixes against the folded stages.
+def _stream(shifts: Sequence[int], span: int,
+            probs: np.ndarray | None) -> tuple[float, float, float]:
+    """Split every block of stored prefixes by the folded stages once
+    its moments are complete, as the module docstring describes.
 
-    Returns float64[3**L, 2**(s-L)]: row sum_k i_k * 3**(s-k) holds,
-    per prefix of the first s-L bits, the sum over columns of its
-    weight times the product over folded stages k of
-    (1, cos alpha_k, sin alpha_k)[i_k], times scale.
+    With probs, float64[2**s], each readout's probability is written
+    there and zeros are returned; without, last_stage_sums' sums.
     """
     import numpy as np
 
     s = len(shifts)
     stored = s - min(FOLD_STAGES, s)
     branches = 1 << stored
+    # stage k's feedback angles 2*pi*b/2**k, b < 2**(k-1), are every
+    # 2**(s-k)-th angle 2*pi*j/2**s, j < 2**(s-1)
+    table_cos, table_sin = _feedback_table(s)
+    feedback = [(table_cos[::1 << (s - k)], table_sin[::1 << (s - k)])
+                for k in range(1, s + 1)]
     # members divides span and every stored shift, so columns `classes`
     # apart see the same stored angles and grow the same branch weights
     members = math.gcd(span, *shifts[:stored])
     classes = span // members
-    circle_cos, circle_sin = _unit_circle(span)
+    angles = (2.0 * np.pi / span) * np.arange(span)  # alpha of turns 0..r-1
+    circle_cos, circle_sin = np.cos(angles), np.sin(angles)
     shift_col = np.array(shifts[:stored], dtype=np.int64)[:, None]
-    chunk = min(classes, max(1, CHUNK_CELLS // branches))
-    # one buffer each for the whole call; a narrower last chunk takes
-    # a contiguous front part of them
-    cells = np.empty(branches * chunk)
-    scratch = np.empty(max(branches // 2, 1) * chunk)
-    moments = np.zeros((3 ** (s - stored), branches))
-    product = np.empty((moments.shape[0], min(branches, _PREFIX_BLOCK)))
+    depth = 0 if branches <= _PREFIX_BLOCK else min(
+        stored, (-(-classes * branches // CHUNK_CELLS) - 1).bit_length())
+    nodes, leaves = 1 << depth, branches >> depth
+    chunk = classes if depth else min(classes,
+                                      max(1, CHUNK_CELLS // branches))
+    block = min(leaves, _PREFIX_BLOCK)
+    # one buffer each for the whole call; a narrower last chunk takes a
+    # contiguous front part of them
+    cells = np.empty(leaves * chunk)
+    scratch = np.empty(max(nodes, leaves, 2) // 2 * chunk)
+    moments = np.zeros((3 ** (s - stored), block))
+    product = np.empty_like(moments)
+    sums = np.zeros(3)
+    # node j's subtree: its leaves are the stored prefixes j + nodes * t
+    subtrees = [[(beta_cos[node::nodes], beta_sin[node::nodes])
+                 for beta_cos, beta_sin in feedback[depth:stored]]
+                for node in range(nodes)]
+    scale = 0.5 ** (s - 1 if probs is None else s) / span
+    if probs is not None:  # [0, bit, h, p]: readout p + (h + bit*H) * 2**(s-L)
+        probs = probs.reshape(1, 2, 1 << (s - stored - 1), branches)
+
+    def finish(prefixes):
+        # split[i, h, p]: readout prefix p + h * 2**(s-L) against the
+        # folded stages left, stage k's index the leading one of i
+        split = moments.reshape(-1, 1, block)
+        for k in range(stored + 1, s + 1):
+            # contiguous copies of the strided feedback rows
+            beta_cos, beta_sin = (np.ascontiguousarray(
+                beta.reshape(split.shape[1], -1)[:, prefixes])
+                for beta in feedback[k - 1])
+            even, along_cos, along_sin = split.reshape(3, -1, *split.shape[1:])
+            if k == s and probs is None:
+                sums[:] += (even.sum(), np.vdot(beta_cos, along_cos)
+                            + np.vdot(beta_sin, along_sin),
+                            np.vdot(beta_cos, along_sin)
+                            - np.vdot(beta_sin, along_cos))
+                return
+            along_cos *= beta_cos
+            along_sin *= beta_sin
+            along_cos += along_sin
+            # E + F for bit k = 0 and E - F for bit k = 1
+            out = probs[..., prefixes] if k == s else np.empty(
+                (len(even), 2, *even.shape[1:]))
+            np.add(even, along_cos, out=out[:, 0])
+            np.subtract(even, along_cos, out=out[:, 1])
+            split = out.reshape(len(out), -1, block)
+
     for start in range(0, classes, chunk):
         columns = np.arange(start, min(start + chunk, classes),
                             dtype=np.int64)
         width = columns.size
         turns = (shift_col * columns) % span  # alpha = 2*pi*turns/r
-        weights = branch_states_numpy(
-            circle_cos[turns], circle_sin[turns], feedback[:stored],
-            cells[:branches * width].reshape(branches, width), scratch)
+        column_cos, column_sin = circle_cos[turns], circle_sin[turns]
         # the folded stages over every member m + j * classes of each
         # class, summed per class once multiplied out
         member_columns = (np.arange(members, dtype=np.int64)[:, None]
@@ -193,67 +233,28 @@ def _folded_moments(
                              circle_cos[turns], circle_sin[turns]))
             along = (along[:, None] * trig).reshape(-1, member_columns.size)
         along = along.reshape(-1, members, width).sum(axis=1)
-        # (3**L, C) x (C, block) products; over one column that is an
-        # outer product, which matmul made about 3x slower than
-        # np.multiply.outer (numpy 2.4, 2**18 prefixes)
-        for lo in range(0, branches, product.shape[1]):
-            hi = lo + product.shape[1]
-            if width > 1:
-                np.matmul(along, weights[lo:hi].T, out=product)
-            else:
-                np.multiply.outer(along[:, 0], weights[lo:hi, 0], out=product)
-            moments[:, lo:hi] += product
-    return moments
-
-
-def _unfold(moments: np.ndarray, beta_cos: np.ndarray,
-            beta_sin: np.ndarray) -> np.ndarray:
-    """Split every prefix by the first folded stage k left.
-
-    moments: float64[3*m, P], rows ordered as _folded_moments orders
-    them, over the P = 2**(k-1) prefixes before stage k; beta_cos and
-    beta_sin: cos and sin of stage k's feedback angles. Returns
-    float64[m, 2*P] over the prefixes through stage k: E + F for bit
-    k = 0 and E - F for bit k = 1, E the rows against 1 and F those
-    against cos theta_k. The stage's 1/2 is left to the caller.
-    Overwrites the cos and sin rows of moments.
-    """
-    import numpy as np
-
-    rows, prefixes = moments.shape[0] // 3, moments.shape[1]
-    even, along_cos, along_sin = moments.reshape(3, rows, prefixes)
-    # contiguous copies of the strided feedback rows, which every
-    # moment row reads: at s = 20 the two multiplies took 2.1 ms
-    # instead of 2.9 ms
-    along_cos *= np.ascontiguousarray(beta_cos)
-    along_sin *= np.ascontiguousarray(beta_sin)
-    along_cos += along_sin
-    split = np.empty((rows, 2, prefixes))
-    np.add(even, along_cos, out=split[:, 0])
-    np.subtract(even, along_cos, out=split[:, 1])
-    return split.reshape(rows, 2 * prefixes)
-
-
-def _unfolded_moments(
-    shifts: Sequence[int], span: int, through: int
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Moments per prefix of the first `through` bits, s - L <= through.
-
-    Returns (moments, feedback): moments as _folded_moments gives them
-    but over prefixes through stage `through`, float64[3**(s-through),
-    2**through], with the 1/r and the 1/2 of each of those stages
-    applied; feedback[k-1] is cos and sin of stage k's feedback angles.
-    """
-    s = len(shifts)
-    # stage k's feedback angles 2*pi*b/2**k, b < 2**(k-1), are every
-    # 2**(s-k)-th angle 2*pi*j/2**s, j < 2**(s-1)
-    table_cos, table_sin = _feedback_table(s)
-    feedback = [(table_cos[::1 << (s - k)], table_sin[::1 << (s - k)])
-                for k in range(1, s + 1)]
-    moments = _folded_moments(shifts, span, feedback, 0.5 ** through / span)
-    for k in range(s - min(FOLD_STAGES, s) + 1, through + 1):
-        moments = _unfold(moments, *feedback[k - 1])
-    return moments, feedback
+        tops = np.ones((1, width)) if not depth else branch_states_numpy(
+            column_cos[:depth], column_sin[:depth], feedback[:depth],
+            np.empty((nodes, width)), scratch, 1.0)
+        for node in range(nodes):
+            weights = branch_states_numpy(
+                column_cos[depth:], column_sin[depth:], subtrees[node],
+                cells[:leaves * width].reshape(leaves, width), scratch,
+                tops[node])
+            for lo in range(0, leaves, block):
+                # over one column, an outer product: 9x faster than matmul
+                # on 4096 prefixes (numpy 2.4)
+                if width > 1:
+                    np.matmul(along, weights[lo:lo + block].T, out=product)
+                else:
+                    np.multiply.outer(along[:, 0], weights[lo:lo + block, 0],
+                                      out=product)
+                moments += product
+                if start + width == classes:
+                    finish(slice(node + lo * nodes,
+                                 node + (lo + block) * nodes, nodes))
+                    moments.fill(0.0)
+    return tuple(float(x) for x in sums)
 
 
 def last_stage_sums(
@@ -267,12 +268,7 @@ def last_stage_sums(
     of each earlier stage applied. The last bit reads 0 with
     probability (total + cos_sum)/2 and 1 with (total - cos_sum)/2.
     """
-    (total, along_cos, along_sin), feedback = _unfolded_moments(
-        shifts, span, len(shifts) - 1)
-    beta_cos, beta_sin = feedback[-1]
-    return (float(total.sum()),
-            float(beta_cos @ along_cos + beta_sin @ along_sin),
-            float(beta_cos @ along_sin - beta_sin @ along_cos))
+    return _stream(shifts, span, None)
 
 
 def branch_probabilities(shifts: Sequence[int], span: int) -> np.ndarray:
@@ -281,5 +277,8 @@ def branch_probabilities(shifts: Sequence[int], span: int) -> np.ndarray:
     shifts: the column shift of each stage (Circuit.stage_shifts);
     span: the order r of the work orbit.
     """
-    moments, _ = _unfolded_moments(shifts, span, len(shifts))
-    return moments[0]
+    import numpy as np
+
+    probs = np.empty(1 << len(shifts))
+    _stream(shifts, span, probs)
+    return probs

@@ -19,8 +19,11 @@ shot's seeded stream, _pcg64's pure-Python copy of numpy's PCG64.
 The exact routes, output_distribution and control_reduced_density,
 enumerate every measurement branch in the Fourier basis of Z_r instead,
 where each of those shifts is one phase per column (see _kernels). They
-carry real weights, a chunk of columns at a time, never a complex
-2**s x r state.
+carry real weights, a chunk of columns or a subtree of prefixes at a
+time, never a complex 2**s x r state, and each block of readouts goes
+into the output as soon as its sums over the columns are complete. At
+s = 20 output_distribution peaks at 20 MiB under tracemalloc, 8 MiB
+of it the output, and control_reduced_density at 12 MiB.
 
 Two exact-distribution routes exist on purpose: output_distribution
 enumerates the branches from the IR's stage shifts and feedback phases,
@@ -54,14 +57,18 @@ if TYPE_CHECKING:
 # odd r; the oracle's other guard is its order scan,
 # multiplicative_order, which refuses n >= ORDER_SCAN_LIMIT.
 # The cell cap bounds the 2**s * r cells of one branch enumeration and
-# is a time budget: the kernel holds one chunk of columns at a time, so
-# memory no longer binds. It still counts all r columns, though the
-# kernel grows branches for r / gcd(r, 4) of them. At the cap,
-# output_distribution took 0.06-0.08 s at 33 MiB peak RSS for
-# (a, n, s) = (2, 65519, 10), r = 32759; 0.08-0.09 s for (19, 97, 20),
-# r = 32, now eight column classes; and 0.20-0.25 s at 69 MiB peak RSS
-# and a 38 MiB tracemalloc peak for (7, 311, 20), odd r = 31, its
-# slowest shape (2-CPU Intel Xeon, Python 3.11, numpy 2.4).
+# is a time budget: the kernel holds at most 2**18 branch cells at a
+# time, so memory no longer binds. It still counts all r columns, though
+# the kernel grows branches for r / gcd(r, 4) of them. At the cap, the
+# slowest shape of each gcd(r, 4) took, per call (best of 7, least over
+# ten processes; 2-CPU Intel Xeon, Python 3.11, numpy 2.4), with its
+# tracemalloc peak:
+#
+#   (a, n, s)      r    classes  output_distribution  control_reduced_density
+#   (7, 311, 20)   31   31       98 ms, 20 MiB        75 ms, 12 MiB
+#   (3, 31, 20)    30   15       58 ms, 20 MiB        47 ms, 12 MiB
+#   (19, 97, 20)   32   8        43 ms, 20 MiB        33 ms, 12 MiB
+#   (2, 65519, 10) 32759 32759   50 ms, 4 MiB         52 ms, 4 MiB
 MAX_DIST_READOUT_BITS = 20
 MAX_DIST_CELLS = 1 << 25
 
@@ -84,7 +91,11 @@ class StageRecord(NamedTuple):
 class OutcomeDistribution:
     """Exact probabilities over every readout y in [0, 2**s).
 
-    Wraps a dense float vector; probabilities sum to 1 within 1e-12.
+    Wraps a dense float vector without copying it: the distribution
+    keeps a read-only view of a float64 array. Entries may fall short
+    of 0 by rounding, down to -1e-12; a vector with such an entry is
+    copied with it clipped to 0, so the caller's array is never
+    written. Probabilities sum to 1 within 1e-12.
     """
 
     def __init__(self, probabilities: np.ndarray):
@@ -93,14 +104,16 @@ class OutcomeDistribution:
         probs = np.asarray(probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("need a nonempty 1-d probability vector")
-        if not float(probs.min()) >= -NORM_TOLERANCE:  # NaN fails too
+        lowest = float(probs.min())
+        if not lowest >= -NORM_TOLERANCE:  # NaN fails too
             raise SimulationError("negative or NaN probability encountered")
         total = float(probs.sum())
         if not abs(total - 1.0) <= NORM_TOLERANCE:
             raise SimulationError(
                 f"probabilities sum to {total}, expected 1"
             )
-        self._probs = np.clip(probs, 0.0, None)
+        self._probs = np.clip(probs, 0.0, None) if lowest < 0.0 \
+            else probs.view()
         self._probs.setflags(write=False)
 
     def __len__(self) -> int:
@@ -243,8 +256,12 @@ def _check_enumeration_guards(circuit: Circuit) -> None:
 def output_distribution(circuit: Circuit) -> OutcomeDistribution:
     """Exact outcome distribution by summing every measurement branch."""
     _check_enumeration_guards(circuit)
+    import numpy as np
+
     probs = _kernels.branch_probabilities(circuit.stage_shifts,
                                           circuit.work_register_span)
+    # rounding can leave an exact zero a few ulps below 0
+    np.maximum(probs, 0.0, out=probs)
     return OutcomeDistribution(probs)
 
 

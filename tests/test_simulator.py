@@ -88,6 +88,22 @@ class TestOutcomeDistribution:
         with pytest.raises(SimulationError):
             OutcomeDistribution(np.array([np.nan, 0.5]))
 
+    def test_wraps_without_copying(self):
+        probs = np.array([0.25, 0.0, 0.75, 0.0])
+        dist = OutcomeDistribution(probs)
+        assert np.shares_memory(dist.as_array(), probs)
+        assert not dist.as_array().flags.writeable
+        assert probs.flags.writeable
+        with pytest.raises(ValueError):
+            dist.as_array()[0] = 1.0
+
+    def test_copies_to_clip_rounding_below_zero(self):
+        probs = np.array([0.5 + 1e-13, 0.5, -1e-13])
+        dist = OutcomeDistribution(probs)
+        assert not np.shares_memory(dist.as_array(), probs)
+        assert dist[2] == 0.0 and dist.support() == [0, 1]
+        assert probs[2] == -1e-13 and probs.flags.writeable
+
     def test_total_variation_requires_same_size(self):
         d1 = OutcomeDistribution(np.array([0.5, 0.5]))
         d2 = OutcomeDistribution(np.array([0.25] * 4))
@@ -220,7 +236,8 @@ def _classes(circuit):
 
 
 def _chunks(circuit):
-    """Column chunks the kernel takes for a circuit, from CHUNK_CELLS."""
+    """Column chunks the kernel takes for a circuit whose stored tree is
+    one block of prefixes, from CHUNK_CELLS."""
     s = circuit.num_readout_bits
     branches = 1 << (s - min(_kernels.FOLD_STAGES, s))
     chunk = max(1, _kernels.CHUNK_CELLS // branches)
@@ -238,6 +255,21 @@ def _count_branch_columns(monkeypatch):
 
     monkeypatch.setattr(_kernels, "branch_states_numpy", counted)
     return calls
+
+
+def _count_grown_cells(monkeypatch):
+    """Patch branch_states_numpy to record the cells each call grows:
+    over K stages and C columns, 2 + 4 + ... + 2**K rows of C."""
+    cells = []
+    original = _kernels.branch_states_numpy
+
+    def counted(column_cos, *args):
+        stages, width = column_cos.shape
+        cells.append(width * ((2 << stages) - 2))
+        return original(column_cos, *args)
+
+    monkeypatch.setattr(_kernels, "branch_states_numpy", counted)
+    return cells
 
 
 class TestFoldedStages:
@@ -346,10 +378,66 @@ class TestFoldedStages:
         control_reduced_density(circuit)
         assert len(calls) == 2 * _chunks(circuit)
 
+    @pytest.mark.parametrize("a,n,s", [(8, 15, 20), (3, 7, 20), (7, 311, 20),
+                                       (2, 65519, 8), (2, 33, 9), (2, 33, 2)])
+    def test_stored_cells_grow_once(self, monkeypatch, a, n, s):
+        # one column for 2**18 branches; three classes in four subtrees;
+        # 31 classes in 32 subtrees; column chunks of a 64-prefix tree;
+        # no stored stage. The tracer wraps the module attribute, so
+        # every call must go through it
+        circuit = build_semiclassical_stages(a, n, s)
+        stored = s - min(_kernels.FOLD_STAGES, s)
+        want = output_distribution(circuit).as_array()
+        cells = _count_grown_cells(monkeypatch)
+        got = output_distribution(circuit).as_array()
+        assert sum(cells) == _classes(circuit) * ((2 << stored) - 2)
+        assert np.array_equal(got, want)
+        cells.clear()
+        control_reduced_density(circuit)
+        assert sum(cells) == _classes(circuit) * ((2 << stored) - 2)
+
+    @pytest.mark.parametrize("a,n,r", [(2, 33, 10), (16, 337, 21),
+                                       (3, 17, 16)])
+    def test_subtree_depth_does_not_matter(self, monkeypatch, a, n, r):
+        # blocks of 8 prefixes make the 2**7-prefix tree at s = 9 grow
+        # as subtrees: 2**depth of them, from one to a leaf per prefix.
+        # r = 16 divides 2**9, so its zeros off the comb must stay exact
+        s, stored = 9, 7
+        circuit = build_semiclassical_stages(a, n, s)
+        assert circuit.work_register_span == r
+        default = output_distribution(circuit).as_array()
+        density = control_reduced_density(circuit)
+        oracle = dft_oracle_distribution(a, n, s)
+        assert total_variation(output_distribution(circuit), oracle) < 1e-9
+        monkeypatch.setattr(_kernels, "_PREFIX_BLOCK", 8)
+        for depth in (0, 1, 3, stored):
+            monkeypatch.setattr(_kernels, "CHUNK_CELLS",
+                                _classes(circuit) << (stored - depth))
+            got = output_distribution(circuit).as_array()
+            assert np.abs(got - default).max() < 1e-15
+            assert np.array_equal(got > 0, default > 0)
+            np.testing.assert_allclose(control_reduced_density(circuit),
+                                       density, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("a,n,s", [(7, 311, 20), (19, 97, 20)])
+    def test_subtrees_match_oracle_at_the_cap(self, a, n, s):
+        # r = 31 grows 32 subtrees and r = 32 eight; r = 32 divides
+        # 2**20, so its support is exactly the comb
+        circuit = build_semiclassical_stages(a, n, s)
+        dist = output_distribution(circuit)
+        oracle = dft_oracle_distribution(a, n, s)
+        assert total_variation(dist, oracle) < 1e-9
+        rho = control_reduced_density(circuit)
+        last_bit_set = float(oracle.as_array()[1 << (s - 1):].sum())
+        assert abs(rho[1, 1].real - last_bit_set) < 1e-9
+        if circuit.work_register_span == 32:
+            assert dist.support() == list(range(0, 1 << s, 1 << (s - 5)))
+
 
 class TestExactMemory:
-    """tracemalloc peaks of the exact routes at s = 20, r = 4, the
-    benchmark's largest branch tree."""
+    """tracemalloc peaks of the exact routes at s = 20, for r = 4, the
+    benchmark's largest branch tree, and for odd r = 31 at the cell
+    cap, whose 31 column classes grow as 32 subtrees."""
 
     @staticmethod
     def _peak_mib(call):
@@ -363,19 +451,34 @@ class TestExactMemory:
         return peak / 2 ** 20
 
     def test_output_distribution(self):
-        # 38 MiB measured: 18 MiB of moments, the 12 MiB the first
-        # unfold makes of them and the 8 MiB feedback table
+        # 20 MiB measured: the 8 MiB output, the 8 MiB feedback table,
+        # 2**18 branch cells and half as many scratch cells; no moments
+        # array outlives its block of 2**12 prefixes
         circuit = build_semiclassical_stages(8, 15, 20)
-        assert self._peak_mib(lambda: output_distribution(circuit)) < 40
+        assert self._peak_mib(lambda: output_distribution(circuit)) < 24
+
+    def test_output_distribution_odd_period(self):
+        # 20 MiB measured, as for r = 4: each subtree's 2**13 leaves x
+        # 31 classes fit the same 2**18 cells
+        circuit = build_semiclassical_stages(7, 311, 20)
+        assert self._peak_mib(lambda: output_distribution(circuit)) < 24
 
     def test_control_reduced_density(self):
+        # 12 MiB measured: the feedback table and the branch cells; the
+        # sums take no output vector
         circuit = build_semiclassical_stages(8, 15, 20)
-        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 40
+        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 24
+
+    def test_control_reduced_density_odd_period(self):
+        # 12 MiB measured, as for r = 4
+        circuit = build_semiclassical_stages(7, 311, 20)
+        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 24
 
     def test_oracle(self):
-        # 16 MiB measured: r = 4 folds each transform to 2**18 points, so
-        # the peak is the tiled output and the distribution's own copy
-        assert self._peak_mib(lambda: dft_oracle_distribution(8, 15, 20)) < 18
+        # 10 MiB measured: r = 4 folds each transform to 2**18 points, so
+        # the peak is the 8 MiB tiled output next to the 2 MiB it tiles;
+        # the distribution wraps the output without a copy
+        assert self._peak_mib(lambda: dft_oracle_distribution(8, 15, 20)) < 11
 
     def test_oracle_odd_period(self):
         # 24 MiB measured: an odd r transforms all 2**20 points and tiles
