@@ -60,15 +60,15 @@ if TYPE_CHECKING:
 # is a time budget: the kernel holds at most 2**18 branch cells at a
 # time, so memory no longer binds. It still counts all r columns, though
 # the kernel grows branches for r / gcd(r, 4) of them. At the cap, the
-# slowest shape of each gcd(r, 4) took, per call (best of 7, least over
-# ten processes; 2-CPU Intel Xeon, Python 3.11, numpy 2.4), with its
-# tracemalloc peak:
+# slowest shape of each gcd(r, 4) and the largest orbit took, per call
+# (best of 7, least over ten processes; 2-CPU Intel Xeon, Python 3.11,
+# numpy 2.4), with the tracemalloc peak:
 #
-#   (a, n, s)      r    classes  output_distribution  control_reduced_density
-#   (7, 311, 20)   31   31       98 ms, 20 MiB        75 ms, 12 MiB
-#   (3, 31, 20)    30   15       58 ms, 20 MiB        47 ms, 12 MiB
-#   (19, 97, 20)   32   8        43 ms, 20 MiB        33 ms, 12 MiB
-#   (2, 65519, 10) 32759 32759   50 ms, 4 MiB         52 ms, 4 MiB
+#   (a, n, s)       r      classes  output_distribution  reduced density
+#   (7, 311, 20)    31     31       101 ms, 20 MiB       78 ms, 12 MiB
+#   (3, 31, 20)     30     15       60 ms, 20 MiB        49 ms, 12 MiB
+#   (19, 97, 20)    32     8        45 ms, 20 MiB        35 ms, 12 MiB
+#   (2, 65519, 10)  32759  32759    48 ms, 4 MiB         52 ms, 4 MiB
 MAX_DIST_READOUT_BITS = 20
 MAX_DIST_CELLS = 1 << 25
 
