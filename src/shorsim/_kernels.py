@@ -52,7 +52,7 @@ block is grown a column chunk at a time; a larger one grows its first
 d stages once, d the least with classes * 2**(s-L-d) <= CHUNK_CELLS,
 then from each node j a subtree whose leaves j + 2**d * t are a
 stride-2**d slice of the feedback rows and of the output. Beside the
-output, memory is the 2**(s-1)-angle feedback table, at most
+output, memory is the feedback table of 3 * 2**(s-2) cosines, at most
 CHUNK_CELLS branch cells and one block's moments, whatever r is.
 """
 
@@ -80,25 +80,23 @@ _PREFIX_BLOCK = 1 << 12
 
 
 def _feedback_table(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2*pi*j/2**s for j < 2**(s-1).
+    """cos and sin of 2*pi*j/2**s for j < 2**(s-1): two views of one
+    array of cos(2*pi*i/2**t), -Q <= i < 2*Q, t = max(s, 2), Q = 2**(t-2).
 
-    cos is evaluated on the quarter wave j <= 2**(s-2) alone, with
-    cos(pi/2) set to its exact 0; the rest of both rows are mirror
-    images of it, as sin x = cos(pi/2 - x) and cos x = -cos(pi - x).
+    cos is evaluated on the quarter wave 0 <= i <= Q alone, with
+    cos(pi/2) set to its exact 0, and mirrored, as cos(-x) = cos x =
+    -cos(pi - x). The sin row is the cos row read Q places earlier, as
+    sin x = cos(x - pi/2).
     """
     import numpy as np
 
-    if s == 1:
-        return np.ones(1), np.zeros(1)
-    quarter = 1 << (s - 2)
-    wave = np.cos((2.0 * np.pi / (1 << s)) * np.arange(quarter + 1))
+    t = max(s, 2)
+    quarter = 1 << (t - 2)
+    wave = np.cos((2.0 * np.pi / (1 << t)) * np.arange(quarter + 1))
     wave[quarter] = 0.0
-    table_cos, table_sin = np.empty((2, 2 * quarter))
-    table_cos[:quarter + 1] = wave
-    table_cos[quarter + 1:] = -wave[quarter - 1:0:-1]
-    table_sin[:quarter + 1] = wave[::-1]
-    table_sin[quarter + 1:] = wave[1:quarter]
-    return table_cos, table_sin
+    circle = np.concatenate((wave[:0:-1], wave, -wave[quarter - 1:0:-1]))
+    stride = 1 << (t - s)
+    return circle[quarter::stride], circle[:2 * quarter:stride]
 
 
 def branch_states_numpy(

@@ -43,6 +43,7 @@ from .errors import (
 from .numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
     Semiprime,
+    signed_decimal,
     to_decimal,
 )
 
@@ -76,7 +77,8 @@ def work_orbit(modulus: int, multiplier: int) -> int:
     above MAX_WORK_SPAN, after 256 + MAX_WORK_SPAN/256 steps.
     """
     if modulus < 2 or math.gcd(multiplier, modulus) != 1:
-        raise DomainError(f"{multiplier} is not a unit mod {modulus}")
+        raise DomainError(f"{signed_decimal(multiplier)} is not a unit "
+                          f"mod {signed_decimal(modulus)}")
     a = multiplier % modulus
     powers = [1]  # a**j for j < len(powers)
     w = a
@@ -160,16 +162,16 @@ class Circuit:
             raise DomainError("base must lie in [0, modulus)")
         if math.gcd(self.base, self.modulus) != 1:
             raise DomainError(
-                f"{self.base} shares a factor with {self.modulus}; a free "
-                f"factor should have been taken classically instead of "
-                f"building a circuit"
+                f"{to_decimal(self.base)} shares a factor with "
+                f"{to_decimal(self.modulus)}; a free factor should have "
+                f"been taken classically instead of building a circuit"
             )
         if self.num_readout_bits < 1:
             raise DomainError("need at least one readout stage")
         if self.num_readout_bits > MAX_READOUT_STAGES:
             raise RefusedTooLargeError(
-                f"s = {self.num_readout_bits} readout stages exceeds the "
-                f"limit of {MAX_READOUT_STAGES} stages"
+                f"s = {to_decimal(self.num_readout_bits)} readout stages "
+                f"exceeds the limit of {MAX_READOUT_STAGES} stages"
             )
         object.__setattr__(self, "work_register_span",
                            work_orbit(self.modulus, self.base))

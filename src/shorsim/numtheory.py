@@ -323,3 +323,8 @@ def to_decimal(value: int) -> str:
     half = approx_digits // 2
     hi, lo = divmod(value, 10 ** half)
     return to_decimal(hi) + to_decimal(lo).rjust(half, "0")
+
+
+def signed_decimal(value: int) -> str:
+    """to_decimal for an integer of either sign, as str() writes it."""
+    return "-" + to_decimal(-value) if value < 0 else to_decimal(value)

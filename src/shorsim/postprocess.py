@@ -39,6 +39,7 @@ from .numtheory import (
     Semiprime,
     continued_fraction_convergents,
     is_probable_prime,
+    signed_decimal,
     to_decimal,
 )
 from .simulator import run_circuit
@@ -116,7 +117,8 @@ def derive_factors(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
     if r < 1:
         raise DomainError("period must be positive")
     if pow(a, r, n) != 1:
-        raise DomainError(f"{a}**{r} is not 1 mod {n}: not a period")
+        raise DomainError(f"{signed_decimal(a)}**{to_decimal(r)} is not 1 "
+                          f"mod {signed_decimal(n)}: not a period")
     if r % 2 == 0:
         return _split_at(pow(a, r // 2, n), n)
     b = math.isqrt(a)
@@ -294,7 +296,7 @@ class FactorReport:
                 f"an uncompiled {self.qubit_budget.n_bits}-bit run is "
                 f"estimated at {self.qubit_budget.zalka_qubits}"
             )
-        lines.append(f"seed     {self.seed}")
+        lines.append(f"seed     {to_decimal(self.seed)}")
         return "\n".join(lines) + "\n"
 
 

@@ -22,8 +22,8 @@ where each of those shifts is one phase per column (see _kernels). They
 carry real weights, a chunk of columns or a subtree of prefixes at a
 time, never a complex 2**s x r state, and each block of readouts goes
 into the output as soon as its sums over the columns are complete. At
-s = 20 output_distribution peaks at 20 MiB under tracemalloc, 8 MiB
-of it the output, and control_reduced_density at 12 MiB.
+s = 20 output_distribution peaks at 18 MiB under tracemalloc, 8 MiB
+of it the output, and control_reduced_density at 10 MiB.
 
 Two exact-distribution routes exist on purpose: output_distribution
 enumerates the branches from the IR's stage shifts and feedback phases,
@@ -44,7 +44,7 @@ from . import _kernels
 from ._pcg64 import random_stream
 from .compiler import Circuit
 from .errors import DomainError, RefusedTooLargeError, SimulationError
-from .numtheory import multiplicative_order
+from .numtheory import multiplicative_order, to_decimal
 
 # numpy is imported inside the functions that use it, so a process
 # that simulates nothing, or only one-stage shots, never loads it.
@@ -65,9 +65,9 @@ if TYPE_CHECKING:
 # numpy 2.4), with the tracemalloc peak:
 #
 #   (a, n, s)       r      classes  output_distribution  reduced density
-#   (7, 311, 20)    31     31       101 ms, 20 MiB       78 ms, 12 MiB
-#   (3, 31, 20)     30     15       60 ms, 20 MiB        49 ms, 12 MiB
-#   (19, 97, 20)    32     8        45 ms, 20 MiB        35 ms, 12 MiB
+#   (7, 311, 20)    31     31       101 ms, 18 MiB       78 ms, 10 MiB
+#   (3, 31, 20)     30     15       60 ms, 18 MiB        49 ms, 10 MiB
+#   (19, 97, 20)    32     8        45 ms, 18 MiB        35 ms, 10 MiB
 #   (2, 65519, 10)  32759  32759    48 ms, 4 MiB         52 ms, 4 MiB
 MAX_DIST_READOUT_BITS = 20
 MAX_DIST_CELLS = 1 << 25
@@ -313,7 +313,8 @@ def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
         raise DomainError("modulus must be at least 2")
     a %= n
     if math.gcd(a, n) != 1:
-        raise DomainError(f"{a} is not a unit mod {n}")
+        raise DomainError(f"{to_decimal(a)} is not a unit mod "
+                          f"{to_decimal(n)}")
     _check_readout_bits(s)
     big_s = 1 << s
     r = multiplicative_order(a, n)

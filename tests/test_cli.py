@@ -591,6 +591,36 @@ class TestUsageErrors:
         assert code == 0
         assert json.loads(out)["seed"] == seed
 
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--p", "3", "--q", "5", "--mode", "coin"],
+        ["factor", "--n", "15"],
+    ], ids=["coin", "honest"])
+    def test_text_report_echoes_a_seed_of_any_length(self, capsys, argv):
+        seed = "7" * 5000
+        code, out, _ = run_cli(capsys, *argv, "--format", "text",
+                               "--seed", seed)
+        assert code == 0
+        assert out.splitlines()[-1] == f"seed     {seed}"
+
+    @pytest.mark.parametrize("command", ["circuit", "simulate", "dist"])
+    @pytest.mark.parametrize("n, s, status, error", [
+        ("1" + "0" * 5000, "1", 2,
+         {"type": "DomainError",
+          "message": "2 shares a factor with 1" + "0" * 5000 + "; a free "
+                     "factor should have been taken classically instead of "
+                     "building a circuit"}),
+        ("15", "1" + "0" * 5000, 4,
+         {"type": "RefusedTooLargeError",
+          "message": "s = 1" + "0" * 5000 + " readout stages exceeds the "
+                     "limit of 4096 stages"}),
+    ], ids=["modulus", "readout-bits"])
+    def test_integers_past_the_conversion_limit_are_reported(
+            self, capsys, command, n, s, status, error):
+        code, out, err = run_cli(capsys, command, "--kind", "semiclassical",
+                                 "--a", "2", "--n", n, "--s", s)
+        assert (code, out) == (status, "")
+        assert json.loads(err)["error"] == error
+
     def test_first_bad_flag_is_named_under_any_hash_seed(self):
         # with two bad flags, the one reported does not follow the
         # interpreter's string hashing

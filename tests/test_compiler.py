@@ -81,6 +81,17 @@ class TestWorkOrbit:
         with pytest.raises(DomainError):
             work_orbit(15, 3)
 
+    @pytest.mark.parametrize("modulus, multiplier, message", [
+        (10 ** 5000, 2, "2 is not a unit mod 1" + "0" * 5000),
+        (15, -3, "-3 is not a unit mod 15"),
+    ], ids=["past-the-conversion-limit", "negative"])
+    def test_non_unit_is_named_at_any_size(self, modulus, multiplier,
+                                           message):
+        # past the interpreter's 4300-digit int/str conversion limit
+        with pytest.raises(DomainError) as refused:
+            work_orbit(modulus, multiplier)
+        assert str(refused.value) == message
+
     def test_span_guard(self):
         # 3 has order 2**23 mod 2**25 (it generates the odd part of the
         # unit group mod a power of two), well past the span cap

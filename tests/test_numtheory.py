@@ -25,6 +25,7 @@ from shorsim.numtheory import (
     is_probable_prime,
     multiplicative_order,
     parse_decimal,
+    signed_decimal,
     to_decimal,
 )
 from shorsim.numtheory import _is_small_prime, _jacobi, _sieve
@@ -465,6 +466,11 @@ class TestDecimalHelpers:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             to_decimal(-1)
+
+    def test_signed_decimal_writes_either_sign(self):
+        for v in (0, 7, -7, 10 ** 100, -10 ** 100):
+            assert signed_decimal(v) == str(v)
+        assert signed_decimal(-10 ** 5000) == "-1" + "0" * 5000
 
     @given(st.integers(0, 10**600))
     @settings(max_examples=100)

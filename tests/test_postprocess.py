@@ -115,6 +115,17 @@ class TestDeriveFactors:
         with pytest.raises(DomainError):
             derive_factors(7, 0, 15)
 
+    @pytest.mark.parametrize("a, r, n, message", [
+        (3, 2, 10 ** 5000, "3**2 is not 1 mod 1" + "0" * 5000
+                           + ": not a period"),
+        (-2, 1, -15, "-2**1 is not 1 mod -15: not a period"),
+    ], ids=["past-the-conversion-limit", "negative"])
+    def test_non_period_is_named_at_any_size(self, a, r, n, message):
+        # past the interpreter's 4300-digit int/str conversion limit
+        with pytest.raises(DomainError) as refused:
+            derive_factors(a, r, n)
+        assert str(refused.value) == message
+
     def test_odd_period_defers_to_rescue(self):
         assert derive_factors(4, 3, 21) == (3, 7)
 

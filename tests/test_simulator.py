@@ -287,9 +287,11 @@ class TestFoldedStages:
 
     @pytest.mark.parametrize("cells", [1, None])
     def test_zeros_off_the_comb_stay_exact(self, monkeypatch, cells):
-        # r divides 2**18; one cell per chunk forces one-column chunks,
-        # whose moments are outer products. r = 4 is one column class;
-        # r = 16 is four, which the default chunk multiplies by matmul
+        # r divides 2**18. r = 4 is one column class and r = 16 four.
+        # Their 2**16 stored prefixes exceed one block, so one cell per
+        # chunk leaves no subtree depth that fits: each grows 2**16
+        # one-leaf subtrees over every class. The default grows one
+        # chunk of every class and multiplies r = 16's by matmul
         if cells is not None:
             monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
         for a, n, r in ((8, 15, 4), (3, 17, 16)):
@@ -297,6 +299,20 @@ class TestFoldedStages:
             dist = output_distribution(build_semiclassical_stages(a, n, 18))
             assert dist.support() == list(range(0, 1 << 18, step))
             assert np.abs(dist.as_array()[::step] - 1 / r).max() < 1e-12
+
+    @pytest.mark.parametrize("s", [12, 14])
+    def test_zeros_off_the_comb_stay_exact_in_one_column_chunks(
+            self, monkeypatch, s):
+        # r = 16 is four column classes, and 2**(s-2) stored prefixes
+        # fit one block, so one cell per chunk grows the tree as four
+        # one-column chunks, whose moments are outer products
+        monkeypatch.setattr(_kernels, "CHUNK_CELLS", 1)
+        calls = _count_branch_columns(monkeypatch)
+        dist = output_distribution(build_semiclassical_stages(3, 17, s))
+        assert calls == [1, 1, 1, 1]
+        step = (1 << s) // 16
+        assert dist.support() == list(range(0, 1 << s, step))
+        assert np.abs(dist.as_array()[::step] - 1 / 16).max() < 1e-12
 
     @pytest.mark.parametrize("cells", [1, None])
     @pytest.mark.parametrize("a,n,r", [(3, 7, 6), (2, 33, 10), (7, 15, 4),
@@ -451,28 +467,32 @@ class TestExactMemory:
         return peak / 2 ** 20
 
     def test_output_distribution(self):
-        # 20 MiB measured: the 8 MiB output, the 8 MiB feedback table,
-        # 2**18 branch cells and half as many scratch cells; no moments
-        # array outlives its block of 2**12 prefixes
+        # 18 MiB measured: the 8 MiB output and the 6 MiB feedback table
+        # of 3 * 2**18 cosines, plus 4 MiB both while the table is built
+        # (the 2 MiB quarter wave it mirrors and that wave's negated
+        # copy) and after it (2**18 branch cells, half as many scratch
+        # cells and one block's moments and splits); no moments array
+        # outlives its block of 2**12 prefixes
         circuit = build_semiclassical_stages(8, 15, 20)
-        assert self._peak_mib(lambda: output_distribution(circuit)) < 24
+        assert self._peak_mib(lambda: output_distribution(circuit)) < 19.5
 
     def test_output_distribution_odd_period(self):
-        # 20 MiB measured, as for r = 4: each subtree's 2**13 leaves x
+        # 18 MiB measured, as for r = 4: each subtree's 2**13 leaves x
         # 31 classes fit the same 2**18 cells
         circuit = build_semiclassical_stages(7, 311, 20)
-        assert self._peak_mib(lambda: output_distribution(circuit)) < 24
+        assert self._peak_mib(lambda: output_distribution(circuit)) < 19.5
 
     def test_control_reduced_density(self):
-        # 12 MiB measured: the feedback table and the branch cells; the
-        # sums take no output vector
+        # 10 MiB measured: the 6 MiB feedback table plus 4 MiB while it
+        # is built and after it, as above; the sums take no output
+        # vector
         circuit = build_semiclassical_stages(8, 15, 20)
-        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 24
+        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 11
 
     def test_control_reduced_density_odd_period(self):
-        # 12 MiB measured, as for r = 4
+        # 10 MiB measured, as for r = 4
         circuit = build_semiclassical_stages(7, 311, 20)
-        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 24
+        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 11
 
     def test_oracle(self):
         # 10 MiB measured: r = 4 folds each transform to 2**18 points, so
@@ -886,7 +906,10 @@ class TestOracleCost:
     # a non-unit is no domain for the oracle at any readout size, so it
     # is refused before the readout bound
     (3, 15, MAX_DIST_READOUT_BITS + 1, "3 is not a unit mod 15"),
-], ids=["no-readout-bit", "base-not-a-unit", "base-not-a-unit-at-any-size"])
+    # past the interpreter's 4300-digit int/str conversion limit
+    (2, 10 ** 5000, 4, "2 is not a unit mod 1" + "0" * 5000),
+], ids=["no-readout-bit", "base-not-a-unit", "base-not-a-unit-at-any-size",
+        "modulus-past-the-conversion-limit"])
 def test_oracle_refuses_what_has_no_period(a, n, s, message):
     with pytest.raises(DomainError, match=message):
         dft_oracle_distribution(a, n, s)
