@@ -10,6 +10,7 @@ draw from it, so no command imports numpy.random.
 """
 
 from .errors import DomainError
+from .numtheory import signed_decimal
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -51,7 +52,8 @@ def _seed_pool(seed: int) -> list[int]:
 def random_stream(seed: int):
     """Endless doubles in [0, 1), as numpy's PCG64 Generator draws them."""
     if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+        raise DomainError(
+            f"seed must be nonnegative, got {signed_decimal(seed)}")
     pool = _seed_pool(seed)
     # SeedSequence.generate_state(4, uint64): eight hashed 32-bit words,
     # paired low word first

@@ -64,7 +64,8 @@ def load_fixture(name_or_path: Union[str, Path]) -> SupplementaryFixture:
     name = str(name_or_path)
     directory = root / name if name in os.listdir(root) else Path(name)
     if not directory.is_dir():
-        raise DomainError(f"no fixture named {name!r} under {root}")
+        raise DomainError(f"no packaged fixture named {name!r} under {root}"
+                          f" and no directory {name!r}")
     name = directory.name
     for required in _REQUIRED:
         if not (directory / required).is_file():

@@ -51,6 +51,11 @@ MAX_PERIOD_MULTIPLIER = 4
 
 DEFAULT_MAX_ATTEMPTS = 64
 
+# The toss series counts 0.8-1.1 million tosses a second in pure Python
+# (Python 3.11, one Xeon core), so this bounds a coin demo at about
+# 15-20 s of series.
+MAX_COIN_TOSSES = 1 << 24
+
 MODE_HONEST = "honest-random-base"
 MODE_COMPILED = "compiled-crt"
 MODE_COIN = "coin"
@@ -385,7 +390,8 @@ def run_full_algorithm(
     if max_attempts < 1:
         raise DomainError("need at least one attempt")
     if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+        raise DomainError(
+            f"seed must be nonnegative, got {signed_decimal(seed)}")
 
     if mode == MODE_HONEST:
         # the quantum size guard is work_orbit's, on each base's period;
@@ -501,10 +507,15 @@ def coin_factor_demo(sp: Semiprime, n_tosses: int,
     series of n_tosses from the same coin_tosses(seed), tosses after the
     first heads included, one at a time, so its memory does not grow
     with n_tosses. Requires known factors, exactly like the compiled
-    pipeline it shadows.
+    pipeline it shadows. A count above MAX_COIN_TOSSES is refused with
+    RefusedTooLargeError before the report runs or any toss is drawn.
     """
     if n_tosses < 1:
         raise DomainError("a coin run needs at least one toss")
+    if n_tosses > MAX_COIN_TOSSES:
+        raise RefusedTooLargeError(
+            f"a coin run of {to_decimal(n_tosses)} tosses exceeds the "
+            f"limit of {MAX_COIN_TOSSES} tosses")
     report = run_full_algorithm(sp, mode="coin", seed=seed,
                                 max_attempts=n_tosses)
     n_bits = sp.n.bit_length()

@@ -50,25 +50,30 @@ def test_record_keeps_every_run_and_takes_medians(checkout):
         return (*canned.get((workload, seed, trace), (0, _summary(1.0))),
                 "boom")
 
-    doc = bench_record.record("t", [1, 2, 3], root=checkout, runner=runner)
+    doc = bench_record.record("t", [1, 2, 3], {"change": checkout},
+                              runner=runner)
     assert calls == [(w, seed, trace, 3) for seed in (1, 2, 3)
                      for w in ("alpha", "beta") for trace in (0, 1)]
     assert doc["seeds"] == [1, 2, 3] and doc["seconds"] == 3
-    assert doc["commit"] is None and doc["dirty"] is None
+    assert not {"parent", "first", "compare"} & doc.keys()
+    change = doc["change"]
+    assert change["commit"] is None and change["dirty"] is None
     assert doc["python"] == "%d.%d.%d" % sys.version_info[:3]
     assert {"numpy", "sympy", "nproc"} <= doc.keys()
     assert len(doc["runs"]) == 12
-    assert doc["runs"][0] == {"workload": "alpha", "seed": 1, "trace": 0,
-                              "exit_code": 0,
+    assert doc["runs"][0] == {"side": "change", "workload": "alpha",
+                              "seed": 1, "trace": 0, "exit_code": 0,
                               "summary": json.loads(_summary(0.5))}
     failed = [run for run in doc["runs"] if "summary" not in run]
     assert [(r["workload"], r["seed"], r["exit_code"], r["stderr"])
             for r in failed] == [("beta", 2, 1, "boom"), ("beta", 3, 0, "boom")]
-    assert doc["median"]["alpha"]["trace0"] == {
+    assert change["median"]["alpha"]["trace0"] == {
         "run_s": {"value": 0.5, "unit": "s", "runs": 3}}
     # the wrong-output run and the two without a summary count for nothing
-    assert "trace1" not in doc["median"]["beta"]
-    assert doc["median"]["beta"]["trace0"]["run_s"]["runs"] == 3
+    assert "trace1" not in change["median"]["beta"]
+    assert change["median"]["beta"]["trace0"]["run_s"]["runs"] == 3
+    assert change["operations"]["beta"] == {
+        "runs": 6, "attempted": 40, "failed": 1}
 
 
 def test_label_must_be_a_plain_name(capsys):
@@ -118,8 +123,8 @@ def test_pairs_alternate_and_compare_like_for_like(checkouts):
         return (*canned.get((root.name, workload, seed), (0, default)),
                 "boom")
 
-    doc = bench_record.record_pairs("t", [1, 2, 3, 4], checkouts, "HEAD~1",
-                                    runner=runner)
+    doc = bench_record.record("t", [1, 2, 3, 4], checkouts, "HEAD~1",
+                              runner=runner)
     # each pair runs back to back, and the side that leads alternates
     orders = [("parent", "change"), ("change", "parent")]
     assert calls == [(side, w, seed, 0) for seed in (1, 2, 3, 4)
@@ -166,8 +171,25 @@ def test_pairs_refuse_two_different_benchmarks(checkouts):
     (checkouts["parent"] / "BENCHMARK.json").write_text(
         _PAIRED_BENCH.replace('"run_seconds": 3', '"run_seconds": 4'))
     with pytest.raises(ValueError, match="different BENCHMARK.json"):
-        bench_record.record_pairs("t", [1], checkouts, "HEAD~1",
-                                  runner=None)
+        bench_record.record("t", [1], checkouts, "HEAD~1", runner=None)
+
+
+def test_plain_and_paired_records_share_one_shape(checkouts):
+    def runner(command, root, workload, seed, seconds, trace):
+        return 0, _summary(1.0), ""
+
+    plain = bench_record.record("t", [1], {"change": checkouts["change"]},
+                                runner=runner)
+    paired = bench_record.record("t", [1], checkouts, "HEAD~1",
+                                 runner=runner)
+    assert plain["change"].keys() == paired["change"].keys() == {
+        "commit", "dirty", "operations", "median"}
+    assert paired["parent"].keys() == {"rev"} | paired["change"].keys()
+    assert paired.keys() - plain.keys() == {"parent", "first", "compare"}
+    # the same fields read the same runs: only a plain record has trace 1
+    assert plain["change"]["median"]["alpha"]["trace0"] == \
+        paired["change"]["median"]["alpha"]["trace0"]
+    assert "trace1" not in paired["change"]["median"]["alpha"]
 
 
 def test_clone_checks_out_the_named_commit(tmp_path):

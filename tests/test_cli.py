@@ -469,6 +469,20 @@ class TestCoinDemo:
         assert json.dumps(report, indent=2, sort_keys=True) + "\n" == \
             golden.read_text()
 
+    @pytest.mark.parametrize("tosses", ["9223372036854775808", "9" * 5000],
+                             ids=["past-sys-maxsize",
+                                  "past-the-conversion-limit"])
+    def test_toss_count_past_the_bound_is_refused(self, capsys, tosses):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "coin-demo", "--p", "3", "--q", "5",
+                                 "--tosses", tosses)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == {
+            "type": "RefusedTooLargeError",
+            "message": f"a coin run of {tosses} tosses exceeds the limit of "
+                       "16777216 tosses"}
+
     def test_deterministic(self, capsys):
         argv = ["coin-demo", "--p", "3", "--q", "5", "--tosses", "20",
                 "--seed", "9"]

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from shorsim import postprocess
-from shorsim.errors import CompilationRequiresFactorsError, DomainError
+from shorsim.errors import (
+    CompilationRequiresFactorsError,
+    DomainError,
+    RefusedTooLargeError,
+)
 from shorsim.fixtures import load_fixture
 from shorsim.numtheory import Semiprime
 from shorsim.postprocess import (
+    MAX_COIN_TOSSES,
     MODE_COIN,
     CoinRun,
     coin_factor_demo,
@@ -146,6 +151,26 @@ class TestCoinFactorDemo:
     def test_zero_tosses_rejected(self):
         with pytest.raises(DomainError):
             coin_factor_demo(Semiprime.from_factors(3, 5), 0, 0)
+
+    def test_too_many_tosses_refused_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran on a refused toss count")
+
+        monkeypatch.setattr(postprocess, "run_full_algorithm", no_work)
+        monkeypatch.setattr(postprocess, "coin_tosses", no_work)
+        with pytest.raises(RefusedTooLargeError) as refused:
+            coin_factor_demo(Semiprime.from_factors(3, 5),
+                             MAX_COIN_TOSSES + 1, 0)
+        assert str(refused.value) == ("a coin run of 16777217 tosses "
+                                      "exceeds the limit of 16777216 tosses")
+
+    def test_toss_bound_admits_itself(self, monkeypatch):
+        sp = Semiprime.from_factors(3, 5)
+        unbounded = coin_factor_demo(sp, 8, 4)
+        monkeypatch.setattr(postprocess, "MAX_COIN_TOSSES", 8)
+        assert coin_factor_demo(sp, 8, 4) == unbounded
+        with pytest.raises(RefusedTooLargeError):
+            coin_factor_demo(sp, 9, 4)
 
     def test_large_modulus(self):
         fx = load_fixture("rsa768")

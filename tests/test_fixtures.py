@@ -42,6 +42,14 @@ class TestLoading:
         with pytest.raises(DomainError):
             load_fixture("rsa1024")
 
+    def test_missing_path_is_named_as_a_directory(self, tmp_path):
+        missing = str(tmp_path / "nope")
+        with pytest.raises(DomainError) as refused:
+            load_fixture(missing)
+        assert str(refused.value).startswith(
+            f"no packaged fixture named {missing!r} under ")
+        assert str(refused.value).endswith(f" and no directory {missing!r}")
+
     def test_load_by_direct_path(self):
         direct = fixture_root() / "rsa768"
         fx = load_fixture(direct)

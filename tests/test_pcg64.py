@@ -51,7 +51,9 @@ def test_negative_seed_refused_like_numpy():
     lambda: run_circuit(Circuit(15, 7, 3), -1),
     lambda: run_circuit(Circuit(15, 4, 1), -1),  # the one-stage shot
     lambda: coin_tosses(-2),
-], ids=["staged-shot", "one-stage-shot", "coin-toss"])
+    lambda: random_stream(-10**5000),
+], ids=["staged-shot", "one-stage-shot", "coin-toss",
+        "seed-past-the-conversion-limit"])
 def test_negative_seed_is_a_domain_error(draw):
     # every caller of the stream gets the package's own error
     with pytest.raises(DomainError, match="nonnegative"):

@@ -563,6 +563,13 @@ def test_negative_seed_is_refused_before_anything_runs(mode, n):
     assert str(refused.value) == "seed must be nonnegative, got -3"
 
 
+def test_negative_seed_past_the_conversion_limit_is_named():
+    with pytest.raises(DomainError) as refused:
+        run_full_algorithm(Semiprime(15), seed=-10**5000)
+    assert str(refused.value) == \
+        "seed must be nonnegative, got -1" + "0" * 5000
+
+
 def _attempt(outcome, period=None, base=7, index=1):
     return AttemptRecord(index=index, base=base, y=None, period=period,
                          multiplier=None, outcome=outcome)

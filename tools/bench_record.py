@@ -5,32 +5,33 @@ a change against its parent.
     python3 tools/bench_record.py --label paired --parent HEAD~1 --seeds 1 2 3
 
 Runs the command that BENCHMARK.json names (perfbench/run.py) for every
-workload it lists, once per seed, for the run_seconds it fixes, one run
-at a time. The output file is written at the root of the checkout that
-holds this file.
+workload it lists, once per seed and side, for the run_seconds it
+fixes, one run at a time. The output file is written at the root of the
+checkout that holds this file.
 
-Without --parent, the runs go in that checkout, at --trace 0 and
---trace 1. The file holds:
+Without --parent there is one side, "change": that checkout, run at
+--trace 0 and --trace 1. With --parent REV there are two, "parent" and
+"change": the committed trees of REV and of HEAD, cloned into sibling
+directories of one temporary directory, so that neither side runs from
+a path the other lacks; uncommitted edits are not measured. Both must
+hold the same BENCHMARK.json. Each seed runs each workload at --trace 0
+on both sides, one right after the other, and the side that goes first
+alternates from seed to seed.
 
-- every run's workload, seed, trace setting, exit code and the summary
-  that run.py printed as its last line (standard error instead, when
-  the run failed);
-- per workload and trace setting, the median of each metric over the
-  runs that exited 0 with every output correct;
-- the seeds, the seconds, the Python, numpy and sympy versions of the
-  interpreter that ran the benchmark, nproc and the git commit.
-
-With --parent REV, the committed trees of REV and of HEAD are cloned
-into sibling directories of one temporary directory, "parent" and
-"change", so that neither side runs from a path the other lacks;
-uncommitted edits are not measured. Both must hold the same
-BENCHMARK.json. Each seed runs each workload at --trace 0 on both
-sides, one right after the other, and the side that goes first
-alternates from seed to seed. The file holds each side's commit, runs
-and medians, and per workload and metric with a known direction a
-comparison: each side's median and quartiles, the pairs each side won
-(ties count for neither), and for the end-to-end metrics the relative
-change of the median next to the bound BENCHMARK.json fixes.
+Every file has one shape: the seeds, the seconds, the Python, numpy
+and sympy versions of the interpreter that ran the benchmark, nproc,
+and per side a block of its "rev" (the parent's REV only), git
+"commit", "dirty" (tracked files differ from it), "operations" (per
+workload the runs and the operations attempted and failed) and
+"median" (per workload and trace setting, of each metric over the runs
+that exited 0 with every output correct). "runs" holds every run's
+side, workload, seed, trace setting, exit code and the summary that
+run.py printed as its last line (standard error instead, when the run
+failed). A pair also holds "first", the side that led each seed, and
+"compare", per workload and metric with a known direction: each side's
+median and quartiles, the pairs each side won (ties count for neither),
+and for the end-to-end metrics the relative change of the median next
+to the bound BENCHMARK.json fixes.
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ def run_benchmark(command: list[str], root: Path, workload: str, seed: int,
     return done.returncode, done.stdout, done.stderr
 
 
-def one_run(workload: str, seed: int, trace: int, code: int, stdout: str,
-            stderr: str, **tags) -> dict:
+def one_run(side: str, workload: str, seed: int, trace: int, code: int,
+            stdout: str, stderr: str) -> dict:
     """A run's record: run.py's summary, or its error if it printed none."""
-    run = {**tags, "workload": workload, "seed": seed, "trace": trace,
+    run = {"side": side, "workload": workload, "seed": seed, "trace": trace,
            "exit_code": code}
     lines = stdout.strip().splitlines()
     try:
@@ -126,8 +127,7 @@ def git_commit(root: Path) -> dict:
 
 def _log(run: dict) -> dict:
     print(json.dumps({k: run[k] for k in ("side", "workload", "seed", "trace",
-                                          "exit_code") if k in run}),
-          file=sys.stderr)
+                                          "exit_code")}), file=sys.stderr)
     return run
 
 
@@ -137,34 +137,6 @@ def _environment(command: list[str]) -> dict:
         [command[0], "-c", _VERSIONS], capture_output=True, text=True,
         check=True).stdout)
     return {**versions, "nproc": len(os.sched_getaffinity(0))}
-
-
-def record(label: str, seeds: list[int], root: Path = ROOT,
-           runner=run_benchmark) -> dict:
-    """Run every workload at both trace settings for each seed and
-    return the BENCH_<label>.json document."""
-    bench = json.loads((root / "BENCHMARK.json").read_text())
-    command = bench["command"]
-    seconds = bench["run_seconds"]
-    workloads = [w["name"] for w in bench["workloads"]]
-    runs = []
-    for seed in seeds:
-        for workload in workloads:
-            for trace in TRACES:
-                code, out, err = runner(command, root, workload, seed,
-                                        seconds, trace)
-                runs.append(_log(one_run(workload, seed, trace, code, out,
-                                         err)))
-    return {
-        "label": label,
-        **git_commit(root),
-        "command": command,
-        "seeds": seeds,
-        "seconds": seconds,
-        **_environment(command),
-        "median": medians(runs),
-        "runs": runs,
-    }
 
 
 def operations(runs: list[dict]) -> dict:
@@ -236,49 +208,48 @@ def compare(runs: list[dict], bench: dict) -> dict:
     return out
 
 
-def record_pairs(label: str, seeds: list[int], checkouts: dict,
-                 parent_rev: str, runner=run_benchmark) -> dict:
-    """Run every workload at --trace 0 on both checkouts ({"parent": dir,
-    "change": dir}) for each seed, alternating which goes first, and
-    return the BENCH_<label>.json document."""
-    texts = {side: (checkouts[side] / "BENCHMARK.json").read_text()
-             for side in SIDES}
-    if texts["parent"] != texts["change"]:
+def record(label: str, seeds: list[int], checkouts: dict,
+           rev: str | None = None, runner=run_benchmark) -> dict:
+    """Run every workload for each seed on each checkout ({"change": dir},
+    or {"parent": dir, "change": dir} for a pair) and return the
+    BENCH_<label>.json document. One checkout runs at both trace
+    settings; a pair runs at --trace 0, one side right after the other,
+    the side that goes first alternating from seed to seed."""
+    sides = [side for side in SIDES if side in checkouts]
+    texts = {(checkouts[side] / "BENCHMARK.json").read_text()
+             for side in sides}
+    if len(texts) > 1:
         raise ValueError("the two sides hold different BENCHMARK.json files;"
                          " a pair measures one benchmark")
-    bench = json.loads(texts["change"])
+    bench = json.loads(texts.pop())
     command = bench["command"]
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     runs = []
     for index, seed in enumerate(seeds):
-        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        order = sides if index % 2 == 0 else sides[::-1]
         for workload in workloads:
             for side in order:
-                code, out, err = runner(command, checkouts[side], workload,
-                                        seed, seconds, 0)
-                runs.append(_log(one_run(workload, seed, 0, code, out, err,
-                                         side=side)))
-    per_side = {}
-    for side in SIDES:
+                for trace in TRACES if len(sides) == 1 else (0,):
+                    code, out, err = runner(command, checkouts[side],
+                                            workload, seed, seconds, trace)
+                    runs.append(_log(one_run(side, workload, seed, trace,
+                                             code, out, err)))
+    doc = {"label": label, "command": command, "seeds": seeds,
+           "seconds": seconds, **_environment(command)}
+    for side in sides:
         mine = [run for run in runs if run["side"] == side]
-        per_side[side] = {
-            **({"rev": parent_rev} if side == "parent" else {}),
+        doc[side] = {
+            **({"rev": rev} if side == "parent" else {}),
             **git_commit(checkouts[side]),
             "operations": operations(mine),
             "median": medians(mine),
         }
-    return {
-        "label": label,
-        "command": command,
-        "seeds": seeds,
-        "seconds": seconds,
-        **_environment(command),
-        "first": [SIDES[index % 2] for index in range(len(seeds))],
-        **per_side,
-        "compare": compare(runs, bench),
-        "runs": runs,
-    }
+    if len(sides) == 2:
+        doc.update(first=[sides[index % 2] for index in range(len(seeds))],
+                   compare=compare(runs, bench))
+    doc["runs"] = runs
+    return doc
 
 
 def clone(rev: str, dest: Path, root: Path = ROOT) -> None:
@@ -306,13 +277,13 @@ def main(argv=None) -> int:
     if not args.label.replace("-", "").replace("_", "").isalnum():
         parser.error("--label takes letters, digits, '-' and '_' only")
     if args.parent is None:
-        doc = record(args.label, args.seeds)
+        doc = record(args.label, args.seeds, {"change": ROOT})
     else:
         with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
             checkouts = {side: Path(tmp) / side for side in SIDES}
             clone(args.parent, checkouts["parent"])
             clone("HEAD", checkouts["change"])
-            doc = record_pairs(args.label, args.seeds, checkouts, args.parent)
+            doc = record(args.label, args.seeds, checkouts, args.parent)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
