@@ -35,9 +35,7 @@ from .fixtures import (
     verify_fixture,
 )
 from .numtheory import (
-    Convergent,
     Semiprime,
-    continued_fraction_convergents,
     is_probable_prime,
     multiplicative_order,
     parse_decimal,
@@ -47,7 +45,6 @@ from .postprocess import (
     AttemptRecord,
     CoinRun,
     FactorReport,
-    PeriodCandidate,
     coin_factor_demo,
     derive_factors,
     extract_period,
@@ -87,9 +84,7 @@ __all__ = [
     "fixture_root",
     "load_fixture",
     "verify_fixture",
-    "Convergent",
     "Semiprime",
-    "continued_fraction_convergents",
     "is_probable_prime",
     "multiplicative_order",
     "parse_decimal",
@@ -97,7 +92,6 @@ __all__ = [
     "AttemptRecord",
     "CoinRun",
     "FactorReport",
-    "PeriodCandidate",
     "coin_factor_demo",
     "derive_factors",
     "extract_period",

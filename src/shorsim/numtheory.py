@@ -4,8 +4,9 @@ Everything here runs on plain Python ints, which are unbounded, so the
 same code path serves N = 15 and a 20000-bit semiprime. The classical
 half of the factoring pipeline lives in this module: primality
 testing, brute-force order finding (test oracle only, guarded) and
-continued fractions. Modular powers and gcds need no wrapper: callers
-use the interpreter's pow and math.gcd directly.
+decimal I/O. Modular powers and gcds need no wrapper: callers use the
+interpreter's pow and math.gcd directly; the continued fraction of a
+readout is walked where it is read, in postprocess.extract_period.
 
 Primality is the Baillie-PSW test (R. Baillie and S. Wagstaff, "Lucas
 pseudoprimes", Math. Comp. 35 (1980) 1391-1417): deterministic, with
@@ -69,46 +70,6 @@ def multiplicative_order(a: int, n: int) -> int:
         x = x * a % n
         r += 1
     return r
-
-
-@dataclass(frozen=True)
-class Convergent:
-    """One continued-fraction convergent, always in lowest terms."""
-
-    numerator: int
-    denominator: int
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-
-def continued_fraction_convergents(y: int, s_pow: int) -> list[Convergent]:
-    """Convergent sequence of y/s_pow, ending exactly at y/s_pow.
-
-    The sequence carries strictly increasing denominators: when the
-    expansion opens 0/1, 1/1, ... (which happens iff y/s_pow > 1/2) the
-    leading 0/1 is dropped, since a run of denominator-1 terms carries
-    no candidate information. y = 0 yields the single convergent 0/1.
-    """
-    _check_nonneg(y, s_pow)
-    if s_pow < 1:
-        raise DomainError("denominator must be positive")
-    if y >= s_pow:
-        raise DomainError("expected y < s_pow")
-    convergents: list[Convergent] = []
-    h2, h1 = 0, 1  # h[-2], h[-1] of the standard recurrence
-    k2, k1 = 1, 0
-    num, den = y, s_pow
-    while den:
-        digit, rem = divmod(num, den)
-        h2, h1 = h1, digit * h1 + h2
-        k2, k1 = k1, digit * k1 + k2
-        convergents.append(Convergent(h1, k1))
-        num, den = den, rem
-    if len(convergents) >= 2 and convergents[0] == Convergent(0, 1) \
-            and convergents[1].denominator == 1:
-        convergents = convergents[1:]
-    return convergents
 
 
 def _sieve(limit: int) -> list[int]:

@@ -1,13 +1,13 @@
 """Classical bookends of the factoring loop.
 
 Base selection with the gcd shortcut, period recovery from a measured
-readout via continued fractions, factor derivation (including the
-perfect-square rescue for odd periods), and the one retry loop of the
-honest, compiled and coin modes that turns all of it into a
-FactorReport. Every report carries a plainly worded
-note comparing the bit length of the period actually found against the
-bit length of the modulus; for the compiled path those two numbers tell
-the whole story.
+readout via continued fractions (two integers: the period and its
+multiplier), factor derivation (including the perfect-square rescue
+for odd periods), and the one retry loop of the honest, compiled and
+coin modes that turns all of it into a FactorReport. Every report
+carries a plainly worded note comparing the bit length of the period
+actually found against the bit length of the modulus; for the compiled
+path those two numbers tell the whole story.
 
 The compiled two-qubit circuit's readout is an unbiased bit, so a fair
 coin is a drop-in replacement: heads plays y = 1 (period recovered),
@@ -35,9 +35,8 @@ from .compiler import (
 from .errors import DomainError, RefusedTooLargeError
 from .numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
-    Convergent,
     Semiprime,
-    continued_fraction_convergents,
+    _check_nonneg,
     is_probable_prime,
     signed_decimal,
     to_decimal,
@@ -63,50 +62,44 @@ MODE_COIN = "coin"
 _MODES = {"honest": MODE_HONEST, "compiled": MODE_COMPILED, "coin": MODE_COIN}
 
 
-@dataclass(frozen=True)
-class PeriodCandidate:
-    """A verified period, with the convergent that produced it.
+def extract_period(y: int, s_pow: int, a: int,
+                   n: int) -> Optional[tuple[int, int]]:
+    """Recover the period of a mod n from one measured readout y, as
+    the pair (r, k) of the period and its multiplier, or None.
 
-    multiplier is the k in k*denominator; multiplier 1 means the
-    denominator itself was the period (a direct hit).
+    Walks the continued fraction y/s_pow = [a_0; a_1, ...] and keeps the
+    convergent denominators q_i = a_i q_(i-1) + q_(i-2). Tries the
+    candidates k*q_i for k = 1..MAX_PERIOD_MULTIPLIER, every denominator
+    at k before any at k+1, and returns the first that verifies; k = 1
+    means the denominator itself was the period (a direct hit).
+    Candidates above n are skipped, and one already tried (the second
+    denominator 1 when y/s_pow > 1/2) is not tried again. y = 0 is
+    always uninformative.
     """
-
-    r: int
-    source_convergent: Convergent
-    multiplier: int
-
-    @property
-    def direct(self) -> bool:
-        return self.multiplier == 1
-
-
-def extract_period(y: int, s_pow: int, a: int, n: int) -> Optional[PeriodCandidate]:
-    """Recover the period of a mod n from one measured readout y.
-
-    Scans candidates k*d over k = 1..MAX_PERIOD_MULTIPLIER (small
-    multiples last only within each k pass: all convergent denominators
-    d are tried at k before k+1, so the smallest verified candidate
-    wins). Candidates above n are skipped. Returns None when nothing
-    verifies; y = 0 is always uninformative.
-    """
+    _check_nonneg(y, s_pow)
     if y >= s_pow:
         raise DomainError("expected y < s_pow")
+    if n < 2:
+        raise DomainError("modulus must be at least 2")
     if y == 0:
         return None
-    convergents = continued_fraction_convergents(y, s_pow)
+    denominators = []
+    q2, q1 = 1, 0  # q_(-2) and q_(-1), so that q_0 = 1
+    num, den = y, s_pow
+    while den:
+        digit, rem = divmod(num, den)
+        q2, q1 = q1, digit * q1 + q2
+        denominators.append(q1)
+        num, den = den, rem
     seen: set[int] = set()
     for k in range(1, MAX_PERIOD_MULTIPLIER + 1):
-        for conv in convergents:
-            candidate = k * conv.denominator
+        for q in denominators:
+            candidate = k * q
             if candidate > n or candidate in seen:
                 continue
             seen.add(candidate)
             if pow(a, candidate, n) == 1:
-                return PeriodCandidate(
-                    r=candidate,
-                    source_convergent=conv,
-                    multiplier=k,
-                )
+                return candidate, k
     return None
 
 
@@ -121,6 +114,8 @@ def derive_factors(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
     """
     if r < 1:
         raise DomainError("period must be positive")
+    if n < 2:
+        raise DomainError("modulus must be at least 2")
     if pow(a, r, n) != 1:
         raise DomainError(f"{signed_decimal(a)}**{to_decimal(r)} is not 1 "
                           f"mod {signed_decimal(n)}: not a period")
@@ -442,13 +437,14 @@ def run_full_algorithm(
             y = next(tosses)
         else:
             y, _ = run_circuit(circuit, master.getrandbits(63))
-        candidate = extract_period(y, 1 << circuit.num_readout_bits, a, n)
-        r = candidate and candidate.r
+        r, multiplier = extract_period(
+            y, 1 << circuit.num_readout_bits, a, n) or (None, None)
         split = r and derive_factors(a, r, n)
         outcome = ("factored" if split else "no-period" if r is None
                    else "period-without-factors")
         details.append(AttemptRecord(
-            index=attempt, base=a, y=y, period=r, multiplier=candidate and candidate.multiplier, outcome=outcome,
+            index=attempt, base=a, y=y, period=r, multiplier=multiplier,
+            outcome=outcome,
         ))
         if split:
             # the CRT base splits n into its validated p and q

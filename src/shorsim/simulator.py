@@ -120,6 +120,10 @@ class OutcomeDistribution:
         return int(self._probs.size)
 
     def __getitem__(self, y: int) -> float:
+        # IndexError, which also ends the legacy iteration protocol
+        if not 0 <= y < self._probs.size:
+            raise IndexError(
+                f"readout {y} is outside [0, {self._probs.size})")
         return float(self._probs[y])
 
     def as_array(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -317,12 +318,51 @@ class TestDist:
         }
 
 
+# SHA-256 of exit code, stdout and stderr of `factor` at seeds 0-19,
+# in JSON and in text, per mode and modulus (p x q = 15, 21, 3127)
+FACTOR_DIGESTS = {
+    ("honest", 15):
+        "473e5e15a26423759c397dd4e1c66c10bb077d6f1aca2b5525816d46a4d9e3f4",
+    ("honest", 21):
+        "08a987797c07504c5a8ef9d2e9945868633f7d6bd803435921d4b25170ec1fa9",
+    ("honest", 3127):
+        "11c4534e8bc74d3fcfc763cf0feaa5fa6d842686a43780ee354e70dcb42a54cd",
+    ("compiled", 15):
+        "aa13f3f4bf3ec7bcc38c4e1b7cb85bd1982082e41268e28ca57c4c4d9bb44ae3",
+    ("compiled", 21):
+        "c982a9087c95f90646e1b9258f8e7a335a6ee4e53290f0270253a22a75fb60fd",
+    ("compiled", 3127):
+        "386e4ef930abfead13638a07cc44344cf197e4b630cf44c6cc0901707f39eb06",
+    ("coin", 15):
+        "801f32c714e2a1b40d6d786c59aec4cb970035e38fa247b27dbbe1b0ec46813d",
+    ("coin", 21):
+        "cbee2e374fe56cc656ec452e23322ad24f081030a3ce94aaec7b2c95f058c8ab",
+    ("coin", 3127):
+        "73fc9396171d47188eb0a8e99e70505419901b353272e9dca87894286182c748",
+}
+FACTORS = {15: (3, 5), 21: (3, 7), 3127: (53, 59)}
+
+
 class TestFactor:
     def test_seeded_output_is_pinned(self, capsys):
         code, out, err = run_cli(capsys, "factor", "--n", "3127",
                                  "--seed", "0")
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "factor_n3127_seed0.json").read_text()
+
+    @pytest.mark.parametrize("mode, n", list(FACTOR_DIGESTS))
+    def test_twenty_seeds_are_pinned(self, capsys, mode, n):
+        p, q = FACTORS[n]
+        modulus = ["--n", str(n)] if mode == "honest" else \
+            ["--p", str(p), "--q", str(q)]
+        digest = hashlib.sha256()
+        for seed in range(20):
+            for fmt in ("json", "text"):
+                code, out, err = run_cli(capsys, "factor", "--mode", mode,
+                                         "--seed", str(seed), "--format",
+                                         fmt, *modulus)
+                digest.update(f"{code}\n{out}\n{err}\n".encode())
+        assert digest.hexdigest() == FACTOR_DIGESTS[mode, n]
 
     def test_honest_fifteen(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "--n", "15",

@@ -1,13 +1,12 @@
 """Number-theory layer: frozen values plus independent-oracle properties.
 
-The stdlib (math.gcd, pow, fractions.Fraction) serves as the second
-route for everything that has one; pinned values were computed by hand
-or with those same stdlib tools before the implementation existed.
+The stdlib (math.gcd, pow) serves as the second route for everything
+that has one; pinned values were computed by hand or with those same
+stdlib tools before the implementation existed.
 """
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +18,7 @@ from shorsim.fixtures import load_fixture
 from shorsim.numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
     ORDER_SCAN_LIMIT,
-    Convergent,
     Semiprime,
-    continued_fraction_convergents,
     is_probable_prime,
     multiplicative_order,
     parse_decimal,
@@ -69,71 +66,6 @@ class TestMultiplicativeOrder:
             for d in range(1, r):
                 if r % d == 0:
                     assert pow(a, d, n) != 1
-
-
-class TestConvergents:
-    def test_quarter(self):
-        convs = continued_fraction_convergents(64, 256)
-        assert [str(c) for c in convs] == ["0/1", "1/4"]
-
-    def test_three_quarters_drops_leading_zero(self):
-        convs = continued_fraction_convergents(192, 256)
-        assert [str(c) for c in convs] == ["1/1", "3/4"]
-
-    def test_one_third_neighbourhood(self):
-        convs = continued_fraction_convergents(85, 256)
-        assert [str(c) for c in convs] == ["0/1", "1/3", "85/256"]
-        assert convs[1] == Convergent(1, 3)
-
-    def test_zero(self):
-        assert continued_fraction_convergents(0, 256) == [Convergent(0, 1)]
-
-    def test_three_eighths(self):
-        convs = continued_fraction_convergents(96, 256)
-        assert [c.denominator for c in convs] == [1, 2, 3, 8]
-
-    def test_half_keeps_leading_zero(self):
-        convs = continued_fraction_convergents(128, 256)
-        assert [str(c) for c in convs] == ["0/1", "1/2"]
-
-    def test_y_at_least_s_pow_rejected(self):
-        with pytest.raises(DomainError):
-            continued_fraction_convergents(256, 256)
-
-    @given(st.integers(0, 10**6 - 1), st.integers(1, 10**6))
-    @settings(max_examples=300)
-    def test_structural_properties(self, y, s_pow):
-        if y >= s_pow:
-            return
-        convs = continued_fraction_convergents(y, s_pow)
-        assert convs, "at least one convergent"
-        target = Fraction(y, s_pow)
-        # terminates exactly at the target, in lowest terms
-        last = convs[-1]
-        assert Fraction(last.numerator, last.denominator) == target
-        dens = [c.denominator for c in convs]
-        assert dens == sorted(dens) and len(set(dens)) == len(dens)
-        for c in convs:
-            assert math.gcd(c.numerator, c.denominator) == 1
-        # adjacent-convergent approximation bound: the classical
-        # sandwich 1/(k(k+k')) <= |x - h/k| <= 1/(k k')
-        for c, c_next in zip(convs, convs[1:]):
-            err = abs(target - Fraction(c.numerator, c.denominator))
-            k, k_next = c.denominator, c_next.denominator
-            assert err <= Fraction(1, k * k_next)
-            assert err >= Fraction(1, k * (k + k_next))
-
-    @given(st.integers(0, 10**6 - 1), st.integers(1, 10**6))
-    @settings(max_examples=300)
-    def test_matches_limit_denominator(self, y, s_pow):
-        if y >= s_pow:
-            return
-        target = Fraction(y, s_pow)
-        for c in continued_fraction_convergents(y, s_pow):
-            if c.denominator == 1:
-                continue  # denominator-1 ties are resolved by the drop rule
-            best = target.limit_denominator(c.denominator)
-            assert best == Fraction(c.numerator, c.denominator)
 
 
 def _sqrt1_roots(p: int, q: int) -> tuple[int, int]:
@@ -482,10 +414,7 @@ class TestDecimalHelpers:
     (lambda: is_probable_prime(True), "expected an integer, got bool"),
     (lambda: multiplicative_order(1, 1), "modulus must be at least 2"),
     (lambda: multiplicative_order(1, 0), "modulus must be at least 2"),
-    (lambda: continued_fraction_convergents(0, 0),
-     "denominator must be positive"),
-], ids=["bool-is-no-integer", "order-mod-1", "order-mod-0",
-        "convergents-of-0-over-0"])
+], ids=["bool-is-no-integer", "order-mod-1", "order-mod-0"])
 def test_input_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -48,14 +48,13 @@ def test_public_surface():
     # purpose
     assert sorted(shorsim.__all__) == [
         "AttemptRecord", "Circuit", "CoinRun",
-        "CompilationRequiresFactorsError", "CompiledBase", "Convergent",
+        "CompilationRequiresFactorsError", "CompiledBase",
         "DomainError", "FactorReport", "NotCompilableError",
-        "OutcomeDistribution", "PeriodCandidate", "QubitBudget",
+        "OutcomeDistribution", "QubitBudget",
         "RefusedTooLargeError", "Semiprime", "ShorsimError", "SimulationError",
         "StageRecord", "SupplementaryFixture", "VerificationError",
         "__version__", "build_compiled_circuit", "build_semiclassical_stages",
-        "coin_factor_demo", "continued_fraction_convergents",
-        "control_reduced_density",
+        "coin_factor_demo", "control_reduced_density",
         "default_s", "derive_factors", "dft_oracle_distribution",
         "extract_period", "find_period2_base", "find_period2_bases",
         "fixture_root", "is_probable_prime", "load_fixture",

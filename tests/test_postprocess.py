@@ -13,12 +13,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shorsim import compiler, numtheory
 from shorsim.compiler import build_semiclassical_stages
 from shorsim.errors import DomainError, RefusedTooLargeError
 from shorsim.fixtures import load_fixture
-from shorsim.numtheory import Convergent, Semiprime
+from shorsim.numtheory import Semiprime
 from shorsim.postprocess import (
     MAX_PERIOD_MULTIPLIER,
     MODE_COIN,
@@ -26,7 +28,6 @@ from shorsim.postprocess import (
     MODE_HONEST,
     AttemptRecord,
     FactorReport,
-    PeriodCandidate,
     canonical_mode,
     derive_factors,
     extract_period,
@@ -36,68 +37,92 @@ from shorsim.postprocess import _perfect_power
 from shorsim.simulator import output_distribution
 
 
+@st.composite
+def _readouts(draw):
+    """(y, 2**s, a, n) for a unit a of a small odd n and s <= 30; half
+    the readouts sit next to a multiple of 2**s / r, r the order of a,
+    where a period is there to be found."""
+    n = draw(st.integers(1, 200)) * 2 + 1
+    a = draw(st.integers(1, n - 1).filter(lambda a: math.gcd(a, n) == 1))
+    s = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        y = draw(st.integers(0, (1 << s) - 1))
+    else:
+        r = numtheory.multiplicative_order(a, n)
+        j = draw(st.integers(0, r - 1))
+        y = ((j << s) // r + draw(st.integers(-1, 1))) % (1 << s)
+    return y, 1 << s, a, n
+
+
 class TestExtractPeriod:
     def test_direct_hit(self):
-        cand = extract_period(64, 256, 7, 15)
-        assert cand is not None
-        assert cand.r == 4
-        assert cand.multiplier == 1
-        assert cand.direct
-        assert cand.source_convergent == Convergent(1, 4)
+        assert extract_period(64, 256, 7, 15) == (4, 1)
 
     def test_zero_readout_is_uninformative(self):
         assert extract_period(0, 256, 7, 15) is None
 
     def test_multiple_rule_recovers_half_period(self):
-        cand = extract_period(128, 256, 7, 15)
-        assert cand is not None
-        assert cand.r == 4
-        assert cand.multiplier == 2
-        assert not cand.direct
-        assert cand.source_convergent == Convergent(1, 2)
+        # 128/256 = 1/2: the denominator 2 verifies only at k = 2
+        assert extract_period(128, 256, 7, 15) == (4, 2)
 
     def test_direct_hit_other_end(self):
-        cand = extract_period(192, 256, 7, 15)
-        assert cand is not None
-        assert (cand.r, cand.multiplier) == (4, 1)
-        assert cand.source_convergent == Convergent(3, 4)
+        # 192/256 = [0; 1, 3] has the denominators 1, 1, 4: the second
+        # 1 is tried once, and 4 is a direct hit
+        assert extract_period(192, 256, 7, 15) == (4, 1)
 
     def test_single_bit_readout(self):
-        cand = extract_period(1, 2, 11, 15)
-        assert cand is not None
-        assert (cand.r, cand.multiplier) == (2, 1)
+        assert extract_period(1, 2, 11, 15) == (2, 1)
 
     def test_small_multiples_before_deeper_convergents(self):
         # 96/256 = 3/8 has convergent denominators 1, 2, 3, 8; with a
         # base of order 3 the d=3 convergent wins inside the first
         # multiplier pass, so the scan must not jump to 2*3 or to 8
-        cand = extract_period(96, 256, 2, 7)
-        assert cand is not None
-        assert (cand.r, cand.multiplier) == (3, 1)
-        assert cand.source_convergent == Convergent(1, 3)
+        assert extract_period(96, 256, 2, 7) == (3, 1)
 
     def test_multiplier_rescues_trivial_denominator(self):
-        # y = 1 gives only the convergents 0/1 and 1/1024; k * 1 walks
+        # y = 1 gives only the denominators 1 and 1024; k * 1 walks
         # 1, 2, 3, 4 and lands on the true period
-        cand = extract_period(1, 1024, 7, 15)
-        assert cand is not None
-        assert (cand.r, cand.multiplier) == (4, 4)
+        assert extract_period(1, 1024, 7, 15) == (4, 4)
 
     def test_candidates_above_n_are_skipped(self):
-        # the final convergent denominator equals 1024 > n here
-        cand = extract_period(3, 1024, 7, 15)
-        assert cand is None or cand.r <= 15
+        # 3/1024 has the denominators 1, 341, 1024: both deeper ones
+        # exceed n at every k, so only k * 1 is tried
+        assert extract_period(3, 1024, 7, 15) == (4, 4)
+        assert extract_period(3, 1024, 7, 340) is None
 
     def test_out_of_range_readout_rejected(self):
         with pytest.raises(DomainError):
             extract_period(256, 256, 7, 15)
 
+    @pytest.mark.parametrize("y, s_pow, n, message", [
+        (True, 256, 15, "expected an integer, got bool"),
+        (1, 256.0, 15, "expected an integer, got float"),
+        (-1, 256, 15, "negative values are outside this domain"),
+        (0, 0, 15, "expected y < s_pow"),
+        (1, 256, 0, "modulus must be at least 2"),
+        (1, 256, -15, "modulus must be at least 2"),
+        (0, 256, 1, "modulus must be at least 2"),
+    ], ids=["bool-readout", "float-register", "negative-readout",
+            "empty-register", "modulus-0", "negative-modulus", "modulus-1"])
+    def test_input_checks_refuse(self, y, s_pow, n, message):
+        # a modulus below 2 is refused, not read as no verified period
+        with pytest.raises(DomainError, match=message):
+            extract_period(y, s_pow, 7, n)
+
     def test_never_returns_an_unverified_period(self):
         for y in range(256):
-            cand = extract_period(y, 256, 7, 15)
-            if cand is not None:
-                assert pow(7, cand.r, 15) == 1
-                assert 1 <= cand.multiplier <= MAX_PERIOD_MULTIPLIER
+            found = extract_period(y, 256, 7, 15)
+            if found is not None:
+                r, k = found
+                assert pow(7, r, 15) == 1
+                assert 1 <= k <= MAX_PERIOD_MULTIPLIER
+
+    @given(_readouts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_oracle(self, readout):
+        y, s_pow, a, n = readout
+        assert extract_period(y, s_pow, a, n) == \
+            _oracle_decision(a, y, s_pow, n)
 
 
 class TestDeriveFactors:
@@ -118,13 +143,19 @@ class TestDeriveFactors:
     @pytest.mark.parametrize("a, r, n, message", [
         (3, 2, 10 ** 5000, "3**2 is not 1 mod 1" + "0" * 5000
                            + ": not a period"),
-        (-2, 1, -15, "-2**1 is not 1 mod -15: not a period"),
+        (-2, 1, 15, "-2**1 is not 1 mod 15: not a period"),
     ], ids=["past-the-conversion-limit", "negative"])
     def test_non_period_is_named_at_any_size(self, a, r, n, message):
         # past the interpreter's 4300-digit int/str conversion limit
         with pytest.raises(DomainError) as refused:
             derive_factors(a, r, n)
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize("n", [0, 1, -15])
+    def test_modulus_below_2_is_refused(self, n):
+        # refused before pow(2, 1, 0) can raise a bare ValueError
+        with pytest.raises(DomainError, match="modulus must be at least 2"):
+            derive_factors(2, 1, n)
 
     def test_odd_period_defers_to_rescue(self):
         assert derive_factors(4, 3, 21) == (3, 7)
@@ -216,8 +247,9 @@ def test_shared_split_matches_the_inline_splits(n):
 
 
 def _oracle_decision(a: int, y: int, s_pow: int, n: int):
-    """Independent route: same contract as extract_period+derive_factors,
-    built from Fraction/pow/math.gcd with its own convergent loop."""
+    """Independent route: same contract as extract_period, the pair
+    (r, k) or None, built from Fraction and pow with its own convergent
+    loop."""
     if y == 0:
         return None
     # continued-fraction convergents of y/s_pow via Fraction arithmetic
@@ -242,7 +274,7 @@ def _oracle_decision(a: int, y: int, s_pow: int, n: int):
                 continue
             seen.add(cand)
             if pow(a, cand, n) == 1:
-                return cand
+                return cand, k
     return None
 
 
@@ -281,14 +313,12 @@ class TestExhaustiveDecisionTable:
         for a in (2, 4, 7, 8, 11, 13, 14):
             dist = output_distribution(build_semiclassical_stages(a, n, s))
             for y in dist.support():
-                cand = extract_period(y, s_pow, a, n)
-                oracle_r = _oracle_decision(a, y, s_pow, n)
-                if cand is None:
-                    assert oracle_r is None, (a, y)
-                    continue
-                assert cand.r == oracle_r, (a, y)
-                assert derive_factors(a, cand.r, n) == \
-                    _oracle_factors(a, cand.r, n), (a, y)
+                found = extract_period(y, s_pow, a, n)
+                assert found == _oracle_decision(a, y, s_pow, n), (a, y)
+                if found is not None:
+                    r, _ = found
+                    assert derive_factors(a, r, n) == \
+                        _oracle_factors(a, r, n), (a, y)
 
     def test_frozen_support_and_orders(self):
         for a, r in self.FROZEN_ORDERS.items():
@@ -305,12 +335,12 @@ class TestExhaustiveDecisionTable:
         for a in (2, 4, 7, 8, 11, 13, 14):
             dist = output_distribution(build_semiclassical_stages(a, n, 8))
             for y in dist.support():
-                cand = extract_period(y, s_pow, a, n)
+                found = extract_period(y, s_pow, a, n)
                 if y == 0:
-                    assert cand is None
+                    assert found is None
                     continue
-                assert cand is not None
-                outcome = derive_factors(a, cand.r, n)
+                assert found is not None
+                outcome = derive_factors(a, found[0], n)
                 if a == 14:
                     assert outcome is None
                 else:
@@ -702,11 +732,3 @@ class TestAttemptRecord:
         payload = rec.to_json_dict()
         assert payload["y"] is None
         assert payload["period"] is None
-
-
-class TestPeriodCandidate:
-    def test_direct_means_unit_multiplier(self):
-        c = PeriodCandidate(4, Convergent(1, 4), 1)
-        assert c.direct
-        c2 = PeriodCandidate(4, Convergent(1, 2), 2)
-        assert not c2.direct

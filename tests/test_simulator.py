@@ -84,6 +84,18 @@ class TestOutcomeDistribution:
         assert dist.support() == [0, 2]
         assert dist.as_dict() == {0: 0.25, 2: 0.75}
 
+    @pytest.mark.parametrize("y", [-1, -16, 16, 1 << 70])
+    def test_readout_outside_the_register_is_refused(self, y):
+        # numpy would wrap a negative index: dist[-1] would read P(15)
+        dist = output_distribution(build_semiclassical_stages(7, 15, 4))
+        with pytest.raises(IndexError, match=r"outside \[0, 16\)"):
+            dist[y]
+
+    def test_iterates_over_every_readout(self):
+        # the legacy protocol stops at the first IndexError
+        probs = np.array([0.25, 0.0, 0.75, 0.0])
+        assert list(OutcomeDistribution(probs)) == list(probs)
+
     def test_rejects_nan(self):
         with pytest.raises(SimulationError):
             OutcomeDistribution(np.array([np.nan, 0.5]))
@@ -287,18 +299,26 @@ class TestFoldedStages:
 
     @pytest.mark.parametrize("cells", [1, None])
     def test_zeros_off_the_comb_stay_exact(self, monkeypatch, cells):
-        # r divides 2**18. r = 4 is one column class and r = 16 four.
-        # Their 2**16 stored prefixes exceed one block, so one cell per
-        # chunk leaves no subtree depth that fits: each grows 2**16
-        # one-leaf subtrees over every class. The default grows one
+        # r divides 2**s. r = 4 is one column class and r = 16 four.
+        # With blocks of 8 prefixes, the 2**8 stored prefixes at s = 10
+        # exceed one block, so one cell per chunk leaves no subtree
+        # depth that fits: each grows its top tree, then 2**8 one-leaf
+        # subtrees over every class. The default, at s = 18, grows one
         # chunk of every class and multiplies r = 16's by matmul
+        s = 18
         if cells is not None:
+            s = 10
             monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
+            monkeypatch.setattr(_kernels, "_PREFIX_BLOCK", 8)
+        calls = _count_branch_columns(monkeypatch)
         for a, n, r in ((8, 15, 4), (3, 17, 16)):
-            step = (1 << 18) // r
-            dist = output_distribution(build_semiclassical_stages(a, n, 18))
-            assert dist.support() == list(range(0, 1 << 18, step))
+            calls.clear()
+            step = (1 << s) // r
+            dist = output_distribution(build_semiclassical_stages(a, n, s))
+            assert dist.support() == list(range(0, 1 << s, step))
             assert np.abs(dist.as_array()[::step] - 1 / r).max() < 1e-12
+            if cells is not None:
+                assert calls == [r // 4] * (1 + (1 << (s - 2)))
 
     @pytest.mark.parametrize("s", [12, 14])
     def test_zeros_off_the_comb_stay_exact_in_one_column_chunks(
@@ -350,8 +370,9 @@ class TestFoldedStages:
         assert sum(calls) == classes
 
     @pytest.mark.parametrize("a,n,s", [(2, 33, 9), (16, 337, 10),
-                                       (2, 65519, 4)])
+                                       (2, 2039, 4)])
     def test_chunk_width_does_not_matter(self, monkeypatch, a, n, s):
+        # r = 1019 is odd and above 2**s: one class per column
         circuit = build_semiclassical_stages(a, n, s)
         default = output_distribution(circuit).as_array()
         density = control_reduced_density(circuit)
