@@ -52,12 +52,15 @@ block is grown a column chunk at a time; a larger one grows its first
 d stages once, d the least with classes * 2**(s-L-d) <= CHUNK_CELLS,
 then from each node j a subtree whose leaves j + 2**d * t are a
 stride-2**d slice of the feedback rows and of the output. Beside the
-output, memory is the feedback table of 3 * 2**(s-2) cosines, at most
-CHUNK_CELLS branch cells and one block's moments, whatever r is.
+output, a call holds at most CHUNK_CELLS branch cells and one block's
+moments, whatever r is. The feedback table of 3 * 2**(s-2) cosines
+depends on s alone: the first call with a given s builds it, and it
+stays cached, read-only, for every later call in the process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Sequence
 
@@ -79,9 +82,15 @@ FOLD_STAGES = 2
 _PREFIX_BLOCK = 1 << 12
 
 
+@functools.lru_cache(maxsize=None)
 def _feedback_table(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2*pi*j/2**s for j < 2**(s-1): two views of one
-    array of cos(2*pi*i/2**t), -Q <= i < 2*Q, t = max(s, 2), Q = 2**(t-2).
+    """cos and sin of 2*pi*j/2**s for j < 2**(s-1): two read-only views
+    of one array of cos(2*pi*i/2**t), -Q <= i < 2*Q, t = max(s, 2),
+    Q = 2**(t-2).
+
+    Built once per s and kept for the life of the process: the exact
+    routes refuse s > MAX_DIST_READOUT_BITS = 20 before they get here,
+    so the cache holds at most 20 tables, 12 MiB in all.
 
     cos is evaluated on the quarter wave 0 <= i <= Q alone, with
     cos(pi/2) set to its exact 0, and mirrored, as cos(-x) = cos x =
@@ -95,6 +104,8 @@ def _feedback_table(s: int) -> tuple[np.ndarray, np.ndarray]:
     wave = np.cos((2.0 * np.pi / (1 << t)) * np.arange(quarter + 1))
     wave[quarter] = 0.0
     circle = np.concatenate((wave[:0:-1], wave, -wave[quarter - 1:0:-1]))
+    # shared by every later call with this s, so no pass may write it
+    circle.setflags(write=False)
     stride = 1 << (t - s)
     return circle[quarter::stride], circle[:2 * quarter:stride]
 

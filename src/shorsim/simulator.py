@@ -21,9 +21,12 @@ enumerate every measurement branch in the Fourier basis of Z_r instead,
 where each of those shifts is one phase per column (see _kernels). They
 carry real weights, a chunk of columns or a subtree of prefixes at a
 time, never a complex 2**s x r state, and each block of readouts goes
-into the output as soon as its sums over the columns are complete. At
-s = 20 output_distribution peaks at 18 MiB under tracemalloc, 8 MiB
-of it the output, and control_reduced_density at 10 MiB.
+into the output as soon as its sums over the columns are complete. The
+feedback table of each readout size is built by the first exact call
+with that s and kept for the process. At s = 20 output_distribution
+peaks at 18 MiB under tracemalloc on that first call and at 12 MiB on
+later ones, 8 MiB of it the output; control_reduced_density peaks at
+10 and 4 MiB. The cached tables of every s <= 20 hold 12 MiB in all.
 
 Two exact-distribution routes exist on purpose: output_distribution
 enumerates the branches from the IR's stage shifts and feedback phases,
@@ -38,6 +41,7 @@ between them. Tests hold the two together.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _kernels
@@ -62,13 +66,18 @@ if TYPE_CHECKING:
 # the kernel grows branches for r / gcd(r, 4) of them. At the cap, the
 # slowest shape of each gcd(r, 4) and the largest orbit took, per call
 # (best of 7, least over ten processes; 2-CPU Intel Xeon, Python 3.11,
-# numpy 2.4), with the tracemalloc peak:
+# numpy 2.4), with the tracemalloc peak. A cold call builds the feedback
+# table for its s; a warm one, any later call with that s in the same
+# process, finds it cached:
 #
-#   (a, n, s)       r      classes  output_distribution  reduced density
-#   (7, 311, 20)    31     31       101 ms, 18 MiB       78 ms, 10 MiB
-#   (3, 31, 20)     30     15       60 ms, 18 MiB        49 ms, 10 MiB
-#   (19, 97, 20)    32     8        45 ms, 18 MiB        35 ms, 10 MiB
-#   (2, 65519, 10)  32759  32759    48 ms, 4 MiB         52 ms, 4 MiB
+#                                   output_distribution  reduced density
+#   (a, n, s)       r      classes  cold      warm       cold      warm
+#   (7, 311, 20)    31     31       100 ms    92 ms      75 ms     73 ms
+#   (3, 31, 20)     30     15       55 ms     51 ms      46 ms     43 ms
+#   (19, 97, 20)    32     8        37 ms     35 ms      33 ms     30 ms
+#   (2, 65519, 10)  32759  32759    56 ms     55 ms      56 ms     57 ms
+#   peak, s = 20                    18 MiB    12 MiB     10 MiB    4 MiB
+#   peak, s = 10                    4 MiB     4 MiB      4 MiB     4 MiB
 MAX_DIST_READOUT_BITS = 20
 MAX_DIST_CELLS = 1 << 25
 
@@ -120,11 +129,20 @@ class OutcomeDistribution:
         return int(self._probs.size)
 
     def __getitem__(self, y: int) -> float:
+        # numpy would read a bool as a mask; Python and numpy integers
+        # pass, anything else is refused before it reaches the array
+        try:
+            if isinstance(y, bool):
+                raise TypeError
+            index = operator.index(y)
+        except TypeError:
+            raise TypeError(f"readout must be an integer, got {y!r}") \
+                from None
         # IndexError, which also ends the legacy iteration protocol
-        if not 0 <= y < self._probs.size:
+        if not 0 <= index < self._probs.size:
             raise IndexError(
                 f"readout {y} is outside [0, {self._probs.size})")
-        return float(self._probs[y])
+        return float(self._probs[index])
 
     def as_array(self) -> np.ndarray:
         return self._probs

@@ -11,6 +11,7 @@ shared code path would be none.
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -80,7 +81,7 @@ class TestOutcomeDistribution:
     def test_accessors(self):
         dist = OutcomeDistribution(np.array([0.25, 0.0, 0.75, 0.0]))
         assert len(dist) == 4
-        assert dist[2] == 0.75
+        assert dist[2] == dist[np.int64(2)] == dist[np.uint8(2)] == 0.75
         assert dist.support() == [0, 2]
         assert dist.as_dict() == {0: 0.25, 2: 0.75}
 
@@ -89,6 +90,19 @@ class TestOutcomeDistribution:
         # numpy would wrap a negative index: dist[-1] would read P(15)
         dist = output_distribution(build_semiclassical_stages(7, 15, 4))
         with pytest.raises(IndexError, match=r"outside \[0, 16\)"):
+            dist[y]
+
+    @pytest.mark.parametrize("y", [True, False, np.True_, 1.0,
+                                   np.float64(4.0), "3"],
+                             ids=["True", "False", "numpy-True", "float",
+                                  "numpy-float", "str"])
+    def test_readout_that_is_not_an_integer_is_refused(self, y):
+        # numpy would read a bool as a mask and refuse a float with its
+        # own message; a str would fail the range comparison
+        dist = OutcomeDistribution(np.array([0.25, 0.0, 0.75, 0.0]))
+        with pytest.raises(TypeError,
+                           match=re.escape(f"readout must be an integer, "
+                                           f"got {y!r}")):
             dist[y]
 
     def test_iterates_over_every_readout(self):
@@ -471,14 +485,74 @@ class TestFoldedStages:
             assert dist.support() == list(range(0, 1 << s, 1 << (s - 5)))
 
 
+class TestFeedbackTableCache:
+    """_feedback_table is built once per readout size and shared by
+    every later exact call, read-only."""
+
+    # interleaved readout sizes: r = 4, 31, 32759, 4 and 2
+    CIRCUITS = ((8, 15, 20), (7, 311, 16), (2, 65519, 8), (7, 15, 2),
+                (2, 3, 1))
+
+    def test_second_call_returns_the_same_read_only_rows(self):
+        first = _kernels._feedback_table(12)
+        second = _kernels._feedback_table(12)
+        assert all(a is b for a, b in zip(first, second))
+        table_cos, table_sin = first
+        assert table_cos.base is table_sin.base
+        assert not table_cos.base.flags.writeable
+        for row in first:
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+
+    def test_cached_rows_equal_a_fresh_build(self):
+        for s in range(1, MAX_DIST_READOUT_BITS + 1):
+            cached = _kernels._feedback_table(s)
+            fresh = _kernels._feedback_table.__wrapped__(s)
+            assert [row.tobytes() for row in cached] \
+                == [row.tobytes() for row in fresh], s
+
+    def test_cold_and_warm_calls_give_the_same_bytes(self, monkeypatch):
+        circuits = [build_semiclassical_stages(*args)
+                    for args in self.CIRCUITS]
+
+        def outputs(routes):
+            # by readout size and route, in the order of the calls
+            return {(circuit.num_readout_bits, route.__name__):
+                    route(circuit).tobytes()
+                    for circuit in circuits for route in routes}
+
+        def dist(circuit):
+            return output_distribution(circuit).as_array()
+
+        # every call builds its own table, as without the cache
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_feedback_table",
+                          _kernels._feedback_table.__wrapped__)
+            fresh = outputs((dist, control_reduced_density))
+        # the first route to meet each s builds its table
+        _kernels._feedback_table.cache_clear()
+        dist_cold = outputs((dist, control_reduced_density))
+        _kernels._feedback_table.cache_clear()
+        density_cold = outputs((control_reduced_density, dist))
+        warm = outputs((dist, control_reduced_density))
+        assert _kernels._feedback_table.cache_info().currsize \
+            == len(circuits)
+        assert dist_cold == density_cold == warm == fresh
+
+
 class TestExactMemory:
     """tracemalloc peaks of the exact routes at s = 20, for r = 4, the
     benchmark's largest branch tree, and for odd r = 31 at the cell
-    cap, whose 31 column classes grow as 32 subtrees."""
+    cap, whose 31 column classes grow as 32 subtrees. A cold call
+    builds the feedback table for its s; a warm one finds it cached."""
 
     @staticmethod
-    def _peak_mib(call):
+    def _peak_mib(call, cold=False):
+        # the untraced call loads what any first call loads; a cold call
+        # then drops the cached feedback tables, so it builds its own
         call()
+        if cold:
+            _kernels._feedback_table.cache_clear()
         tracemalloc.start()
         try:
             call()
@@ -488,32 +562,61 @@ class TestExactMemory:
         return peak / 2 ** 20
 
     def test_output_distribution(self):
-        # 18 MiB measured: the 8 MiB output and the 6 MiB feedback table
-        # of 3 * 2**18 cosines, plus 4 MiB both while the table is built
-        # (the 2 MiB quarter wave it mirrors and that wave's negated
-        # copy) and after it (2**18 branch cells, half as many scratch
-        # cells and one block's moments and splits); no moments array
-        # outlives its block of 2**12 prefixes
+        # 18 MiB measured cold: the 8 MiB output and the 6 MiB feedback
+        # table of 3 * 2**18 cosines, plus 4 MiB both while the table is
+        # built (the 2 MiB quarter wave it mirrors and that wave's
+        # negated copy) and after it (2**18 branch cells, half as many
+        # scratch cells and one block's moments and splits); no moments
+        # array outlives its block of 2**12 prefixes
         circuit = build_semiclassical_stages(8, 15, 20)
-        assert self._peak_mib(lambda: output_distribution(circuit)) < 19.5
+        assert self._peak_mib(lambda: output_distribution(circuit),
+                              cold=True) < 19.5
 
     def test_output_distribution_odd_period(self):
-        # 18 MiB measured, as for r = 4: each subtree's 2**13 leaves x
-        # 31 classes fit the same 2**18 cells
+        # 18 MiB measured cold, as for r = 4: each subtree's 2**13
+        # leaves x 31 classes fit the same 2**18 cells
         circuit = build_semiclassical_stages(7, 311, 20)
-        assert self._peak_mib(lambda: output_distribution(circuit)) < 19.5
+        assert self._peak_mib(lambda: output_distribution(circuit),
+                              cold=True) < 19.5
 
     def test_control_reduced_density(self):
-        # 10 MiB measured: the 6 MiB feedback table plus 4 MiB while it
-        # is built and after it, as above; the sums take no output
-        # vector
+        # 10 MiB measured cold: the 6 MiB feedback table plus 4 MiB
+        # while it is built and after it, as above; the sums take no
+        # output vector
         circuit = build_semiclassical_stages(8, 15, 20)
-        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 11
+        assert self._peak_mib(lambda: control_reduced_density(circuit),
+                              cold=True) < 11
 
     def test_control_reduced_density_odd_period(self):
-        # 10 MiB measured, as for r = 4
+        # 10 MiB measured cold, as for r = 4
         circuit = build_semiclassical_stages(7, 311, 20)
-        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 11
+        assert self._peak_mib(lambda: control_reduced_density(circuit),
+                              cold=True) < 11
+
+    @pytest.mark.parametrize("a,n", [(8, 15), (7, 311)], ids=["r4", "r31"])
+    def test_output_distribution_warm(self, a, n):
+        # 12.0 MiB measured: the 8 MiB output and the 4 MiB of branch
+        # cells, scratch and moments; the cached table is not allocated
+        circuit = build_semiclassical_stages(a, n, 20)
+        assert self._peak_mib(lambda: output_distribution(circuit)) < 13
+
+    @pytest.mark.parametrize("a,n", [(8, 15), (7, 311)], ids=["r4", "r31"])
+    def test_control_reduced_density_warm(self, a, n):
+        # 4.0 MiB measured: the branch cells, scratch and moments alone
+        circuit = build_semiclassical_stages(a, n, 20)
+        assert self._peak_mib(lambda: control_reduced_density(circuit)) < 5
+
+    def test_cached_tables_stay_within_12_mib(self):
+        # the exact routes refuse s > MAX_DIST_READOUT_BITS before the
+        # kernel runs, so these are all the tables the cache can keep:
+        # 3 * 2**(s-2) cosines each, 24 * 2**19 bytes over s = 1 .. 20
+        _kernels._feedback_table.cache_clear()
+        tables = [_kernels._feedback_table(s)
+                  for s in range(1, MAX_DIST_READOUT_BITS + 1)]
+        assert _kernels._feedback_table.cache_info().currsize \
+            == MAX_DIST_READOUT_BITS
+        assert sum(table_cos.base.nbytes for table_cos, _ in tables) \
+            <= 12 * 2 ** 20
 
     def test_oracle(self):
         # 10 MiB measured: r = 4 folds each transform to 2**18 points, so
