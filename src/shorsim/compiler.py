@@ -24,8 +24,9 @@ MAX_READOUT_STAGES, which is refused. The work register is
 indexed by exponent: column j stands for a**j, and the stage-k
 controlled multiply is a cyclic shift of the columns by 2**(s-k) mod r.
 So the only size a circuit keeps is r, the order of a, found once per
-circuit by a baby-step giant-step search bounded by MAX_WORK_SPAN; the
-residues themselves are never stored.
+circuit by a growing baby-step giant-step search whose cost follows
+sqrt(r), not the size of n, and which refuses an r above MAX_WORK_SPAN;
+the residues themselves are never stored.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
 from .numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
     Semiprime,
+    _check_integers,
     signed_decimal,
     to_decimal,
 )
@@ -59,9 +61,11 @@ MAX_WORK_SPAN = 1 << 20
 # more are refused before the orbit is walked.
 MAX_READOUT_STAGES = 2 * AUTO_PRIMALITY_BIT_LIMIT
 
-# Baby steps of the order search: a**0 ... a**255 are walked and kept,
-# then at most MAX_WORK_SPAN // 256 giant steps of a**256 look them up.
-_BABY_STEPS = 256
+# The order search's first baby table: a**0 ... a**15. It doubles after
+# as many giant steps as it has entries, so orders up to 16 cost their
+# own length and r = 180 costs 27 multiplications, where a flat table of
+# 256 paid 180 and every larger order at least 256.
+_BABY_STEPS = 16
 
 CIRCUIT_JSON_FORMAT = "shorsim-circuit"
 
@@ -70,31 +74,53 @@ def work_orbit(modulus: int, multiplier: int) -> int:
     """The order r of a multiplier a, a unit mod modulus.
 
     r is the length of the orbit 1, a, a**2, ... of residue 1, the span
-    of the simulator's exponent basis. A baby-step giant-step search
-    (Shanks) finds it in at most 256 + r/256 multiplications: r <= 256
-    turns up among the baby steps a**j, j < 256; otherwise the first
-    giant step i with a**(256*i) = a**j gives r = 256*i - j. Refuses r
-    above MAX_WORK_SPAN, after 256 + MAX_WORK_SPAN/256 steps.
+    of the simulator's exponent basis. A growing baby-step giant-step
+    search (after Terr, Math. Comp. 69 (2000) 767-773) finds it without
+    a bound on it: r < 16 turns up among the baby steps a**j, j < 16.
+    Past them a table of the m powers a**j, j < m, looks up the giant
+    steps a**top, top = 16, 32, ...: r exceeds every exponent already
+    covered, so the window (top - m, top] holds r or no multiple of it,
+    and a**top = a**j gives r = top - j. After m windows the table
+    doubles, and the giant step with it, so the windows cover every
+    exponent, and r costs at most 16 + 3.5 * sqrt(r) multiplications
+    (27 at r = 180, 323 at r = 16020). A hit above MAX_WORK_SPAN is
+    refused like a miss; the window that passes MAX_WORK_SPAN is the
+    last, after 2714 multiplications.
     """
+    _check_integers(modulus=modulus, multiplier=multiplier)
     if modulus < 2 or math.gcd(multiplier, modulus) != 1:
         raise DomainError(f"{signed_decimal(multiplier)} is not a unit "
                           f"mod {signed_decimal(modulus)}")
     a = multiplier % modulus
-    powers = [1]  # a**j for j < len(powers)
+    exponent_of = {1: 0}  # the table, a**j -> j for j < m
     w = a
-    while len(powers) < _BABY_STEPS:
+    for j in range(1, _BABY_STEPS):
         if w == 1:
-            return len(powers)
-        powers.append(w)
+            return j
+        exponent_of[w] = j
         w = w * a % modulus
-    # r > 256 from here, so the baby steps are distinct; w = a**256
-    exponent_of = {value: j for j, value in enumerate(powers)}
-    giant = w
-    for i in range(1, MAX_WORK_SPAN // _BABY_STEPS + 1):
+    # r >= m from here, so the table's m powers are distinct
+    m = top = _BABY_STEPS
+    stride = w  # a**m, and w = a**top
+    windows = 0
+    while True:
         j = exponent_of.get(w)
         if j is not None:
-            return _BABY_STEPS * i - j
-        w = w * giant % modulus
+            if top - j <= MAX_WORK_SPAN:
+                return top - j
+            break
+        if top >= MAX_WORK_SPAN:
+            break
+        windows += 1
+        if windows == m:
+            # r > top >= 2m: add a**m ... a**(2m-1), leaving a**(2m)
+            for j in range(m, 2 * m):
+                exponent_of[stride] = j
+                stride = stride * a % modulus
+            m *= 2
+            windows = 0
+        w = w * stride % modulus
+        top += m
     raise RefusedTooLargeError(
         f"work register span of a = {to_decimal(a)} mod n = "
         f"{to_decimal(modulus)} exceeds {MAX_WORK_SPAN}"
@@ -145,9 +171,9 @@ class Circuit:
     the orbit of residue 1 under a, found once, here, by work_orbit's
     bounded baby-step giant-step search, and the number of columns the
     simulator allocates. The orbit's values are not kept. The checks
-    run in order: n >= 2, 0 <= a < n, gcd(a, n) = 1, then the stage
-    count (at least one, at most MAX_READOUT_STAGES), all before the
-    orbit is walked.
+    run in order: three integers, none a bool, then n >= 2, 0 <= a < n,
+    gcd(a, n) = 1, then the stage count (at least one, at most
+    MAX_READOUT_STAGES), all before the orbit is walked.
     """
 
     modulus: int
@@ -156,6 +182,8 @@ class Circuit:
     work_register_span: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_integers(modulus=self.modulus, base=self.base,
+                        num_readout_bits=self.num_readout_bits)
         if self.modulus < 2:
             raise DomainError("modulus must be at least 2")
         if not 0 <= self.base < self.modulus:
@@ -187,10 +215,13 @@ class Circuit:
         """Per stage, the column shift its controlled multiply makes.
 
         Stage k multiplies a**j by a**(2**(s-k)), moving column j to
-        column j + 2**(s-k) mod r.
+        column j + 2**(s-k) mod r: each shift doubles the next, from 1
+        mod r at the last stage.
         """
-        s, r = self.num_readout_bits, self.work_register_span
-        return tuple(pow(2, s - k, r) for k in range(1, s + 1))
+        shifts = [1 % self.work_register_span]
+        for _ in range(self.num_readout_bits - 1):
+            shifts.append(shifts[-1] * 2 % self.work_register_span)
+        return tuple(reversed(shifts))
 
     def to_text(self) -> str:
         lines = _gate_lines(self.modulus, self.base, self.num_readout_bits)
@@ -294,7 +325,8 @@ def build_semiclassical_stages(a: int, n: int, s: Optional[int] = None) -> Circu
     power comes first and measured bits fill y from the least
     significant end. s defaults to default_s(n).
     """
-    if n < 2:  # before the reduction mod n
+    _check_integers(a=a, n=n)  # before the reduction mod n
+    if n < 2:
         raise DomainError("modulus must be at least 2")
     return Circuit(n, a % n, default_s(n) if s is None else s)
 

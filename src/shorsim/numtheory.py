@@ -46,6 +46,14 @@ def _check_nonneg(*values: int) -> None:
             raise DomainError("negative values are outside this domain")
 
 
+def _check_integers(**values: int) -> None:
+    """Refuse a bool or a non-integer, naming the argument."""
+    for name, v in values.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise DomainError(
+                f"{name} must be an integer, got {type(v).__name__}")
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Least r >= 1 with a**r = 1 mod n, found by linear scan.
 

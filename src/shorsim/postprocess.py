@@ -36,6 +36,7 @@ from .errors import DomainError, RefusedTooLargeError
 from .numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
     Semiprime,
+    _check_integers,
     _check_nonneg,
     is_probable_prime,
     signed_decimal,
@@ -374,7 +375,8 @@ def run_full_algorithm(
     Compiled mode simulates it in scalars; coin mode reads y = 1 on
     heads of coin_tosses(seed), the coin that coin_factor_demo's series
     counts, so neither mode loads numpy.
-    Every mode refuses a negative seed before any pre-step.
+    Every mode refuses a seed or max_attempts that is a bool or not an
+    integer, and a negative seed, before any pre-step.
     Deterministic per seed; exhausting max_attempts yields a report
     with factors = None rather than an exception.
     """
@@ -382,6 +384,7 @@ def run_full_algorithm(
     n = sp.n
     if n % 2 == 0:
         raise DomainError("even moduli have the factor 2; nothing to run")
+    _check_integers(seed=seed, max_attempts=max_attempts)
     if max_attempts < 1:
         raise DomainError("need at least one attempt")
     if seed < 0:
@@ -506,6 +509,7 @@ def coin_factor_demo(sp: Semiprime, n_tosses: int,
     pipeline it shadows. A count above MAX_COIN_TOSSES is refused with
     RefusedTooLargeError before the report runs or any toss is drawn.
     """
+    _check_integers(n_tosses=n_tosses)
     if n_tosses < 1:
         raise DomainError("a coin run needs at least one toss")
     if n_tosses > MAX_COIN_TOSSES:

@@ -48,7 +48,7 @@ from . import _kernels
 from ._pcg64 import random_stream
 from .compiler import Circuit
 from .errors import DomainError, RefusedTooLargeError, SimulationError
-from .numtheory import multiplicative_order, to_decimal
+from .numtheory import _check_integers, multiplicative_order, to_decimal
 
 # numpy is imported inside the functions that use it, so a process
 # that simulates nothing, or only one-stage shots, never loads it.
@@ -83,8 +83,9 @@ MAX_DIST_CELLS = 1 << 25
 
 NORM_TOLERANCE = 1e-12
 
-# Bit for bit equal to 1.0 / np.sqrt(2.0).
+# Bit for bit equal to 1.0 / np.sqrt(2.0) and to -2.0 * np.pi.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_MINUS_TWO_PI = -2.0 * math.pi
 
 
 class StageRecord(NamedTuple):
@@ -186,8 +187,9 @@ def run_circuit(circuit: Circuit,
     the kept stage-1 block; each shot costs O(s * r). A stage scales
     the register, writes its shifted copy with the feedback phase in
     the same pass, forms and scales the two Hadamard blocks, takes one
-    norm per block and rescales the kept block: a fixed handful of
-    passes over the buffers, and no allocation.
+    norm per block and rescales the kept block: ten numpy calls, each
+    looked up once per shot and given its output by position, and no
+    allocation.
     """
     uniforms = random_stream(seed)
     multipliers, shifts = circuit.multipliers, circuit.stage_shifts
@@ -197,7 +199,8 @@ def run_circuit(circuit: Circuit,
         p0, p1 = (2.0 * c) * (2.0 * c), 0.0
     else:
         p0 = p1 = c * c + c * c
-    _check_norm(p0 + p1)
+    if not abs(p0 + p1 - 1.0) <= NORM_TOLERANCE:  # NaN fails too
+        raise SimulationError(f"state norm drifted to {p0 + p1}")
     prefix = 1 if next(uniforms) < p1 else 0
     records = [StageRecord(1, multipliers[0], 0.0, p1, prefix)]
     if len(shifts) == 1:
@@ -225,36 +228,38 @@ def run_circuit(circuit: Circuit,
     pre0_parts = pre0.view(np.float64)
     post_parts = post.view(np.float64)
     kept_parts = tuple(post_parts)
-    stages = zip(multipliers[1:], shifts[1:], uniforms)
-    for stage, (multiplier, shift, uniform) in enumerate(stages, start=2):
+    # the same ten numpy calls per stage, looked up once, outputs passed
+    # by position
+    multiply, add, subtract, exp, vdot = (
+        np.multiply, np.add, np.subtract, np.exp, np.vdot)
+    inv_sqrt2 = _INV_SQRT2
+    stage = 1
+    for multiplier, shift, uniform in zip(multipliers[1:], shifts[1:],
+                                          uniforms):
+        stage += 1
         # PREP+, then the controlled multiply shifts the control-|1> block
         # and its copy takes the feedback angle from the bits measured so
         # far: -2*pi*P/2**k, P/2**k rounded once, so no k overflows a float
-        np.multiply(pre0_parts, _INV_SQRT2, out=pre0_parts)
-        phase = -2.0 * np.pi * (prefix / (1 << stage))
-        turn = np.exp(1j * phase)
-        np.multiply(pre0[:r - shift], turn, out=pre1[shift:])
-        np.multiply(pre0[r - shift:], turn, out=pre1[:shift])
-        np.add(pre0, pre1, out=post0)
-        np.subtract(pre0, pre1, out=post1)
-        np.multiply(post_parts, _INV_SQRT2, out=post_parts)
-        p0 = float(np.vdot(post0, post0).real)
-        p1 = float(np.vdot(post1, post1).real)
-        _check_norm(p0 + p1)
+        multiply(pre0_parts, inv_sqrt2, pre0_parts)
+        phase = _MINUS_TWO_PI * (prefix / (1 << stage))
+        turn = exp(1j * phase)
+        multiply(pre0[:r - shift], turn, pre1[shift:])
+        multiply(pre0[r - shift:], turn, pre1[:shift])
+        add(pre0, pre1, post0)
+        subtract(pre0, pre1, post1)
+        multiply(post_parts, inv_sqrt2, post_parts)
+        p0 = float(vdot(post0, post0).real)
+        p1 = float(vdot(post1, post1).real)
+        if not abs(p0 + p1 - 1.0) <= NORM_TOLERANCE:
+            raise SimulationError(f"state norm drifted to {p0 + p1}")
         outcome = 1 if uniform < p1 else 0
         # renormalise by the kept block's own norm, not by its odds, so
         # rounding error cannot grow by 1/p over unlikely outcomes
-        kept_norm = p1 if outcome else p0
-        np.multiply(kept_parts[outcome], 1.0 / math.sqrt(kept_norm),
-                    out=pre0_parts)
+        multiply(kept_parts[outcome], 1.0 / math.sqrt(p1 if outcome else p0),
+                 pre0_parts)
         prefix |= outcome << (stage - 1)
         records.append(StageRecord(stage, multiplier, phase, p1, outcome))
     return prefix, tuple(records)
-
-
-def _check_norm(total: float) -> None:
-    if not abs(total - 1.0) <= NORM_TOLERANCE:  # NaN fails too
-        raise SimulationError(f"state norm drifted to {total}")
 
 
 def _check_readout_bits(s: int) -> None:
@@ -329,6 +334,7 @@ def dft_oracle_distribution(a: int, n: int, s: int) -> OutcomeDistribution:
     """
     import numpy as np
 
+    _check_integers(a=a, n=n, s=s)
     if s < 1:
         raise DomainError("need at least one readout bit")
     if n < 2:

@@ -152,6 +152,16 @@ class TestCoinFactorDemo:
         with pytest.raises(DomainError):
             coin_factor_demo(Semiprime.from_factors(3, 5), 0, 0)
 
+    @pytest.mark.parametrize("n_tosses, seed, name", [
+        (2.0, 0, "n_tosses"),
+        (True, 0, "n_tosses"),
+        (8, 0.0, "seed"),
+    ], ids=["float-tosses", "bool-tosses", "float-seed"])
+    def test_arguments_that_are_not_integers_are_refused(self, n_tosses,
+                                                         seed, name):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            coin_factor_demo(Semiprime.from_factors(3, 5), n_tosses, seed)
+
     def test_too_many_tosses_refused_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work ran on a refused toss count")

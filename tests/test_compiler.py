@@ -30,7 +30,11 @@ from shorsim.errors import (
     RefusedTooLargeError,
 )
 from shorsim.fixtures import load_fixture
-from shorsim.numtheory import Semiprime, multiplicative_order
+from shorsim.numtheory import (
+    Semiprime,
+    is_probable_prime,
+    multiplicative_order,
+)
 from shorsim.postprocess import run_full_algorithm
 
 from instruments import random_probable_prime
@@ -134,25 +138,97 @@ class TestWorkOrbit:
         for a in units:
             assert work_orbit(modulus, a) == multiplicative_order(a, modulus)
 
-    @pytest.mark.parametrize("modulus, lam, orders", (
-        (1048573, 1048572, (252, 266)),
-        (32399, 16020, (178, 267)),
-        # primes p = 1 mod the order wanted
-        (1021, 1020, (255,)),
-        (257, 256, (256,)),
-        (1543, 1542, (257,)),
-        (3067, 3066, (511,)),
-        (7681, 7680, (512,)),
-        (2053, 2052, (513,)),
+    def test_every_unit_below_400(self):
+        # every order the small moduli have, each window edge below 400
+        for modulus in range(2, 400):
+            for a in range(1, modulus):
+                if math.gcd(a, modulus) == 1:
+                    assert work_orbit(modulus, a) == \
+                        multiplicative_order(a, modulus)
+
+    # The baby steps cover r < 16. The table holds 16 powers for the
+    # windows ending at 16, 32, ..., 256, then doubles after the windows
+    # ending at 256, 1280, 5376, 21760, 87296 and 349440; 288 ends the
+    # first window of 32.
+    @pytest.mark.parametrize("order", (
+        15, 16, 17, 255, 256, 257, 288, 289, 1279, 1280, 1281, 5375, 5376,
+        5377, 21759, 21760, 21761, 87295, 87296, 87297, 349439, 349440,
+        349441))
+    def test_orders_around_the_baby_steps(self, order):
+        assert work_orbit(*_unit_of_order(order)) == order
+
+    @pytest.mark.parametrize("modulus, lam, order, steps", (
+        (32399, 16020, 180, 27),
+        (3127, 1508, 1508, 115),
+        (6557, 3198, 3198, 141),
+        (32399, 16020, 16020, 323),
     ))
-    def test_orders_around_the_baby_steps(self, modulus, lam, orders):
-        # lam is the exponent of the unit group, so x**(lam/d) has an
-        # order dividing d; the first of order exactly d is kept
-        for d in orders:
-            unit = next(y for y in (pow(x, lam // d, modulus)
-                                    for x in range(2, modulus))
-                        if multiplicative_order(y, modulus) == d)
-            assert work_orbit(modulus, unit) == d
+    def test_steps_follow_the_square_root_of_the_order(
+            self, modulus, lam, order, steps):
+        # the honest benchmark's moduli: lam is the exponent of the
+        # unit group, so x**(lam/order) has an order dividing `order`
+        unit = next(y for y in (pow(x, lam // order, modulus)
+                                for x in range(2, modulus))
+                    if multiplicative_order(y, modulus) == order)
+        counted = _CountingModulus(modulus)
+        assert work_orbit(counted, unit) == order
+        assert counted.reductions == steps
+        assert steps <= 16 + 3.5 * math.sqrt(order)
+
+    def test_refusal_takes_fewer_steps_than_a_flat_table(self):
+        # a flat table of 256 baby steps refused after 4352
+        counted = _CountingModulus((1 << 61) - 1)
+        with pytest.raises(RefusedTooLargeError):
+            work_orbit(counted, 3)
+        assert counted.reductions == 2714
+
+    @pytest.mark.parametrize("modulus, multiplier, name", [
+        (15.0, 7, "modulus"),
+        (True, 1, "modulus"),
+        (15, 7.0, "multiplier"),
+        (15, True, "multiplier"),
+        (15, "7", "multiplier"),
+    ], ids=["float-modulus", "bool-modulus", "float-multiplier",
+            "bool-multiplier", "str-multiplier"])
+    def test_refuses_what_is_not_an_integer(self, modulus, multiplier,
+                                             name):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            work_orbit(modulus, multiplier)
+
+
+class _CountingModulus(int):
+    """A modulus that counts the reductions made by it: `w * a % m`
+    calls m.__rmod__, since its type is a subclass of int's."""
+
+    def __new__(cls, value):
+        modulus = super().__new__(cls, value)
+        modulus.reductions = 0
+        return modulus
+
+    def __rmod__(self, other):
+        self.reductions += 1
+        return other % int(self)
+
+
+def _unit_of_order(order):
+    """(p, y): the least prime p = 1 mod order, and a unit y of that
+    exact order mod p, found by testing y**(order/q) for each prime q
+    of order rather than by a scan."""
+    p = order + 1
+    while not is_probable_prime(p):
+        p += order
+    primes, rest = set(), order
+    for q in range(2, math.isqrt(order) + 1):
+        while rest % q == 0:
+            primes.add(q)
+            rest //= q
+    if rest > 1:
+        primes.add(rest)
+    for x in range(2, p):
+        y = pow(x, (p - 1) // order, p)
+        if all(pow(y, order // q, p) != 1 for q in primes):
+            assert multiplicative_order(y, p) == order
+            return p, y
 
 
 class TestCompiledBase:
@@ -422,6 +498,55 @@ class TestCircuitValidation:
         assert str(refused.value) == (
             "s = 4097 readout stages exceeds the limit of 4096 stages")
         assert walks == [(337, 2)]
+
+    @pytest.mark.parametrize("triple, name", [
+        ((15.0, 7, 3), "modulus"),
+        ((15, True, 3), "base"),
+        ((15, 7.0, 3), "base"),
+        ((15, 7, 2.0), "num_readout_bits"),
+        ((15, 7, True), "num_readout_bits"),
+        ((15, 7, "3"), "num_readout_bits"),
+    ], ids=["float-modulus", "bool-base", "float-base", "float-stages",
+            "bool-stages", "str-stages"])
+    def test_fields_that_are_not_integers_are_refused(self, triple, name,
+                                                      monkeypatch):
+        walks = []
+        monkeypatch.setattr(compiler, "work_orbit",
+                            lambda *args: walks.append(args) or 4)
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            Circuit(*triple)
+        assert walks == []
+
+    @pytest.mark.parametrize("args, name", [
+        ((7, 15, 2.0), "num_readout_bits"),
+        ((True, 15), "a"),
+        ((7.0, 15, 4), "a"),
+        ((7, 15.0, 4), "n"),
+        ((7, True, 4), "n"),
+    ], ids=["float-stages", "bool-base", "float-base", "float-modulus",
+            "bool-modulus"])
+    def test_builder_refuses_what_is_not_an_integer(self, args, name):
+        # the base is checked before its reduction mod n, which would
+        # turn True into 1 and 7.0 into a float base
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            build_semiclassical_stages(*args)
+
+    def test_stage_shifts_are_powers_of_two_mod_the_order(self):
+        # the doubling from 1 gives the bytes of the pow() per stage,
+        # r = 1 and r = 2 among them
+        draw = random.Random(38)
+        pairs = [(15, 1), (15, 14)]
+        while len(pairs) < 300:
+            modulus = draw.randrange(3, 20000)
+            base = draw.randrange(1, modulus)
+            if math.gcd(base, modulus) == 1:
+                pairs.append((modulus, base))
+        for modulus, base in pairs:
+            for s in range(1, 65):
+                circuit = Circuit(modulus, base, s)
+                r = circuit.work_register_span
+                assert circuit.stage_shifts == tuple(
+                    pow(2, s - k, r) for k in range(1, s + 1))
 
     def test_text_and_json_write_the_same_gates(self):
         # the text and JSON forms write the same gates, one per line

@@ -12,12 +12,13 @@ from shorsim.errors import DomainError
 from shorsim.postprocess import coin_tosses
 from shorsim.simulator import run_circuit
 
-# Seeds of one to four 32-bit words, at the edges between them; the
+# Seeds of one to eight 32-bit words, at the edges between them; the
 # four-word ones fill SeedSequence's pool of four words exactly, with
-# no zero pad, and the last two are wider than it, so their extra
-# words take its second mixing pass.
+# no zero pad, and the last three are wider than it, so their extra
+# words take its second mixing pass, with hash constants past the 16
+# that every narrower seed uses.
 EDGE_SEEDS = [0, 1, 415, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64,
-              2**96, 2**128 - 1, 2**128 + 9, 2**200 + 1]
+              2**96, 2**128 - 1, 2**128 + 9, 2**200 + 1, 2**256 - 1]
 
 
 def _numpy_draws(seed, count):
@@ -57,4 +58,20 @@ def test_negative_seed_refused_like_numpy():
 def test_negative_seed_is_a_domain_error(draw):
     # every caller of the stream gets the package's own error
     with pytest.raises(DomainError, match="nonnegative"):
+        draw()
+
+
+@pytest.mark.parametrize("draw, kind", [
+    (lambda: random_stream(1.5), "float"),
+    (lambda: random_stream(True), "bool"),
+    (lambda: random_stream("7"), "str"),
+    (lambda: run_circuit(Circuit(15, 7, 3), 1.5), "float"),
+    (lambda: run_circuit(Circuit(15, 4, 1), False), "bool"),
+    (lambda: coin_tosses(2.0), "float"),
+], ids=["float", "bool", "str", "staged-shot", "one-stage-shot",
+        "coin-toss"])
+def test_seed_that_is_not_an_integer_is_a_domain_error(draw, kind):
+    # numpy would take a bool; the stream takes integers only
+    with pytest.raises(DomainError,
+                       match=f"^seed must be an integer, got {kind}$"):
         draw()

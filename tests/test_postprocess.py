@@ -501,6 +501,19 @@ class TestRunFullHonest:
         for d in rep.attempt_details[:-1]:
             assert d.outcome in ("no-period", "period-without-factors")
 
+    @pytest.mark.parametrize("mode", ["honest", "compiled", "coin"])
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"max_attempts": 2.5}, "max_attempts"),
+        ({"max_attempts": True}, "max_attempts"),
+    ], ids=["float-seed", "bool-seed", "float-attempts", "bool-attempts"])
+    def test_arguments_that_are_not_integers_are_refused(self, kwargs, name,
+                                                         mode):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            run_full_algorithm(Semiprime.from_factors(3, 5), mode=mode,
+                               **kwargs)
+
 
 class TestRunFullCompiled:
     def test_fifteen(self):

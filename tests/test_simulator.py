@@ -908,6 +908,18 @@ class TestGuards:
         with pytest.raises(DomainError, match="modulus must be at least 2"):
             dft_oracle_distribution(3, n, 2)
 
+    @pytest.mark.parametrize("args, name", [
+        ((7, 15, True), "s"),
+        ((7, 15, 4.0), "s"),
+        ((True, 15, 4), "a"),
+        ((7.0, 15, 4), "a"),
+        ((7, 15.0, 4), "n"),
+    ], ids=["bool-bits", "float-bits", "bool-base", "float-base",
+            "float-modulus"])
+    def test_oracle_refuses_what_is_not_an_integer(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            dft_oracle_distribution(*args)
+
     def test_sampling_is_not_guarded_by_modulus(self):
         n = 65539
         circuit = build_semiclassical_stages(n - 1, n, 2)

@@ -26,10 +26,13 @@ done
 
 # one rule for every integer flag: spellings that int() takes but
 # plain decimal does not exit 2, here on seeds and tosses; a toss
-# count above 2^24 (here past sys.maxsize) is refused with exit 4
+# count above 2^24 (here past sys.maxsize) is refused with exit 4, and
+# so is a base whose order passes 2^20 (3 mod the prime 2^61 - 1),
+# where the order search gives up
 for case in "2 simulate --kind compiled --p 3 --q 5 --seed 1_0" \
             "2 coin-demo --p 3 --q 5 --tosses +3" \
-            "4 coin-demo --p 3 --q 5 --tosses 9223372036854775808"; do
+            "4 coin-demo --p 3 --q 5 --tosses 9223372036854775808" \
+            "4 circuit --kind semiclassical --a 3 --n 2305843009213693951 --s 4"; do
   expected=${case%% *}
   call=${case#* }
   echo "shorsim $call"
