@@ -48,14 +48,18 @@ O(2**(s-L) * r/gcd(r, 2**L)) cells, not 2**s * r.
 
 A block of stored prefixes is split as soon as its moments are
 complete over every class, straight into the output. A tree of one
-block is grown a column chunk at a time; a larger one grows its first
-d stages once, d the least with classes * 2**(s-L-d) <= CHUNK_CELLS,
-then from each node j a subtree whose leaves j + 2**d * t are a
-stride-2**d slice of the feedback rows and of the output. Beside the
-output, a call holds at most CHUNK_CELLS branch cells and one block's
-moments, whatever r is. The feedback table of 3 * 2**(s-2) cosines
-depends on s alone: the first call with a given s builds it, and it
-stays cached, read-only, for every later call in the process.
+block is grown a column chunk at a time: the first chunk writes the
+block's moments, and each later one adds its own to them. A larger
+tree is grown in one chunk, so each of its blocks' moments is written
+once. It grows its first d stages once, d the least with
+classes * 2**(s-L-d) <= CHUNK_CELLS, then from each node j a subtree
+whose leaves j + 2**d * t are a stride-2**d slice of the feedback rows
+and of the output. Beside the output, a call holds at most CHUNK_CELLS
+branch cells, one block's moments and the halves of one block's split,
+whatever r is, in buffers it makes once, not once per block. The
+feedback table of 3 * 2**(s-2) cosines depends on s alone: the first
+call with a given s builds it, and it stays cached, read-only, for
+every later call in the process.
 """
 
 from __future__ import annotations
@@ -158,6 +162,10 @@ def _stream(shifts: Sequence[int], span: int,
     """Split every block of stored prefixes by the folded stages once
     its moments are complete, as the module docstring describes.
 
+    A block's moments are written by its first column chunk and added
+    to by later ones, so they are never zero-filled. The buffers, the
+    moments and the split's halves among them, are made once per call.
+
     With probs, float64[2**s], each readout's probability is written
     there and zeros are returned; without, last_stage_sums' sums.
     """
@@ -188,8 +196,12 @@ def _stream(shifts: Sequence[int], span: int,
     # contiguous front part of them
     cells = np.empty(leaves * chunk)
     scratch = np.empty(max(nodes, leaves, 2) // 2 * chunk)
-    moments = np.zeros((3 ** (s - stored), block))
+    moments = np.empty((3 ** (s - stored), block))
     product = np.empty_like(moments)
+    # the split's halves after each folded stage but the last, which
+    # writes the output or the sums
+    halves = [np.empty((3 ** (s - k), 2, 1 << (k - stored - 1), block))
+              for k in range(stored + 1, s)]
     sums = np.zeros(3)
     # node j's subtree: its leaves are the stored prefixes j + nodes * t
     subtrees = [[(beta_cos[node::nodes], beta_sin[node::nodes])
@@ -219,8 +231,7 @@ def _stream(shifts: Sequence[int], span: int,
             along_sin *= beta_sin
             along_cos += along_sin
             # E + F for bit k = 0 and E - F for bit k = 1
-            out = probs[..., prefixes] if k == s else np.empty(
-                (len(even), 2, *even.shape[1:]))
+            out = probs[..., prefixes] if k == s else halves[k - stored - 1]
             np.add(even, along_cos, out=out[:, 0])
             np.subtract(even, along_cos, out=out[:, 1])
             split = out.reshape(len(out), -1, block)
@@ -251,18 +262,21 @@ def _stream(shifts: Sequence[int], span: int,
                 cells[:leaves * width].reshape(leaves, width), scratch,
                 tops[node])
             for lo in range(0, leaves, block):
+                # the first chunk writes the moments; more than one chunk
+                # means one block, which each later chunk adds to
+                out = product if start else moments
                 # over one column, an outer product: 9x faster than matmul
                 # on 4096 prefixes (numpy 2.4)
                 if width > 1:
-                    np.matmul(along, weights[lo:lo + block].T, out=product)
+                    np.matmul(along, weights[lo:lo + block].T, out=out)
                 else:
                     np.multiply.outer(along[:, 0], weights[lo:lo + block, 0],
-                                      out=product)
-                moments += product
+                                      out=out)
+                if start:
+                    moments += product
                 if start + width == classes:
                     finish(slice(node + lo * nodes,
                                  node + (lo + block) * nodes, nodes))
-                    moments.fill(0.0)
     return tuple(float(x) for x in sums)
 
 

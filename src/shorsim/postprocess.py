@@ -36,6 +36,7 @@ from .errors import DomainError, RefusedTooLargeError
 from .numtheory import (
     AUTO_PRIMALITY_BIT_LIMIT,
     Semiprime,
+    _SMALL_PRIMES,
     _check_integers,
     _check_nonneg,
     is_probable_prime,
@@ -333,9 +334,13 @@ def _prime_split(g: int, n: int) -> tuple[int, int]:
 def _perfect_power(n: int) -> Optional[tuple[int, int]]:
     """(b, k) with n = b**k for the least k >= 2, or None.
 
-    Each k-th root is an integer bisection, exact at any size.
+    Each k-th root is an integer bisection, exact at any size. The
+    least such k is prime, as b**(p*m) = (b**m)**p, so below 1000 only
+    the primes of numtheory's table are tried.
     """
     for k in range(2, n.bit_length()):
+        if k < 1000 and k not in _SMALL_PRIMES:
+            continue
         lo, hi = 2, 1 << (n.bit_length() // k + 1)  # hi**k > n
         while lo < hi:
             mid = (lo + hi) // 2

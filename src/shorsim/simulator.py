@@ -72,10 +72,10 @@ if TYPE_CHECKING:
 #
 #                                   output_distribution  reduced density
 #   (a, n, s)       r      classes  cold      warm       cold      warm
-#   (7, 311, 20)    31     31       100 ms    92 ms      75 ms     73 ms
-#   (3, 31, 20)     30     15       55 ms     51 ms      46 ms     43 ms
-#   (19, 97, 20)    32     8        37 ms     35 ms      33 ms     30 ms
-#   (2, 65519, 10)  32759  32759    56 ms     55 ms      56 ms     57 ms
+#   (7, 311, 20)    31     31       85 ms     79 ms      64 ms     63 ms
+#   (3, 31, 20)     30     15       52 ms     46 ms      41 ms     38 ms
+#   (19, 97, 20)    32     8        36 ms     31 ms      28 ms     26 ms
+#   (2, 65519, 10)  32759  32759    49 ms     50 ms      47 ms     46 ms
 #   peak, s = 20                    18 MiB    12 MiB     10 MiB    4 MiB
 #   peak, s = 10                    4 MiB     4 MiB      4 MiB     4 MiB
 MAX_DIST_READOUT_BITS = 20

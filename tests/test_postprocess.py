@@ -478,6 +478,13 @@ class TestRunFullHonest:
         assert _perfect_power(2 ** 15) == (32, 3)
         assert _perfect_power(3 ** 6) == (27, 2)
 
+    def test_perfect_power_at_2048_bits(self):
+        # 2 divides the first once, so it is no power; exponents from
+        # 1000 up are all tried, and 1331 = 11**3 resolves at k = 11
+        assert _perfect_power((1 << 2047) + 2) is None
+        assert _perfect_power(3 ** 1009) == (3, 1009)
+        assert _perfect_power(2 ** 1331) == (2 ** 121, 11)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_composite_part_rejected(self, seed):
         # 105 = 3*5*7 passes the pre-steps; seed 0's first base shares

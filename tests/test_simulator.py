@@ -399,6 +399,33 @@ class TestFoldedStages:
             np.testing.assert_allclose(control_reduced_density(circuit),
                                        density, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("a,n,s,cells", [
+        (13, 15, 20, None), (2, 2039, 4, 1 << 10), (7, 311, 10, 1 << 10),
+        (7, 311, 16, None)])
+    def test_no_unwritten_buffer_is_read(self, monkeypatch, a, n, s, cells):
+        # one chunk of 64 blocks; 4 and 8 column chunks of odd r into
+        # one block; 31 classes in two subtrees. Memory from np.empty is
+        # often zero already, so every float buffer starts as NaN here,
+        # and any entry read before it is written shows in the bytes
+        if cells is not None:
+            monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
+        circuit = build_semiclassical_stages(a, n, s)
+
+        def outputs():
+            return (output_distribution(circuit).as_array().tobytes(),
+                    control_reduced_density(circuit).tobytes())
+
+        want = outputs()
+        for name in ("empty", "empty_like"):
+            def poisoned(*args, _make=getattr(np, name), **kwargs):
+                array = _make(*args, **kwargs)
+                if array.dtype.kind in "fc":
+                    array.fill(np.nan)
+                return array
+
+            monkeypatch.setattr(np, name, poisoned)
+        assert outputs() == want
+
     @pytest.mark.parametrize("s", range(1, 13))
     def test_feedback_table_is_the_unit_circle(self, s):
         table_cos, table_sin = _kernels._feedback_table(s)
@@ -566,8 +593,8 @@ class TestExactMemory:
         # table of 3 * 2**18 cosines, plus 4 MiB both while the table is
         # built (the 2 MiB quarter wave it mirrors and that wave's
         # negated copy) and after it (2**18 branch cells, half as many
-        # scratch cells and one block's moments and splits); no moments
-        # array outlives its block of 2**12 prefixes
+        # scratch cells and one block's moments and splits, each made
+        # once per call for a block of 2**12 prefixes)
         circuit = build_semiclassical_stages(8, 15, 20)
         assert self._peak_mib(lambda: output_distribution(circuit),
                               cold=True) < 19.5
