@@ -52,7 +52,6 @@ from .postprocess import (
 )
 from .simulator import (
     OutcomeDistribution,
-    StageRecord,
     control_reduced_density,
     dft_oracle_distribution,
     output_distribution,
@@ -97,7 +96,6 @@ __all__ = [
     "extract_period",
     "run_full_algorithm",
     "OutcomeDistribution",
-    "StageRecord",
     "control_reduced_density",
     "dft_oracle_distribution",
     "output_distribution",

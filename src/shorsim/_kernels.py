@@ -163,8 +163,9 @@ def _stream(shifts: Sequence[int], span: int,
     its moments are complete, as the module docstring describes.
 
     A block's moments are written by its first column chunk and added
-    to by later ones, so they are never zero-filled. The buffers, the
-    moments and the split's halves among them, are made once per call.
+    to by later ones (through a buffer made only if there are any), so
+    they are never zero-filled. The buffers, the moments and the
+    split's halves among them, are made once per call.
 
     With probs, float64[2**s], each readout's probability is written
     there and zeros are returned; without, last_stage_sums' sums.
@@ -197,7 +198,7 @@ def _stream(shifts: Sequence[int], span: int,
     cells = np.empty(leaves * chunk)
     scratch = np.empty(max(nodes, leaves, 2) // 2 * chunk)
     moments = np.empty((3 ** (s - stored), block))
-    product = np.empty_like(moments)
+    product = np.empty_like(moments) if chunk < classes else None
     # the split's halves after each folded stage but the last, which
     # writes the output or the sums
     halves = [np.empty((3 ** (s - k), 2, 1 << (k - stored - 1), block))

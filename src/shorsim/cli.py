@@ -36,7 +36,7 @@ from .errors import DomainError, RefusedTooLargeError, VerificationError
 from .fixtures import load_fixture, verify_fixture
 from .numtheory import Semiprime, parse_decimal, to_decimal
 from .postprocess import coin_factor_demo, run_full_algorithm
-from .simulator import output_distribution, run_circuit
+from .simulator import feedback_phase, output_distribution, run_circuit
 
 _JSON_KW = {"indent": 2, "sort_keys": True}
 
@@ -139,22 +139,24 @@ def _cmd_circuit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     circuit = _circuit_from_args(args)
-    y, stages = run_circuit(circuit, args.seed)
+    y, p_ones = run_circuit(circuit, args.seed)
+    bits = [y >> i & 1 for i in range(circuit.num_readout_bits)]
     _print_json({
         "y": to_decimal(y),
-        "bits": [rec.bit for rec in stages],
+        "bits": bits,
         "num_readout_bits": circuit.num_readout_bits,
         "work_register_span": circuit.work_register_span,
         "seed": to_decimal(args.seed),
         "stages": [
             {
-                "stage": rec.stage,
-                "multiplier": to_decimal(rec.multiplier),
-                "feedback_phase": rec.phase,
-                "p_one": rec.p_one,
-                "bit": rec.bit,
+                "stage": k,
+                "multiplier": to_decimal(multiplier),
+                "feedback_phase": feedback_phase(y, k),
+                "p_one": p_one,
+                "bit": bit,
             }
-            for rec in stages
+            for k, (multiplier, p_one, bit)
+            in enumerate(zip(circuit.multipliers, p_ones, bits), 1)
         ],
     })
     return 0

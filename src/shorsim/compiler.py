@@ -138,22 +138,14 @@ _GATE_ARGS = {
 }
 
 
-def _stage_multipliers(modulus: int, base: int, s: int) -> tuple[int, ...]:
-    """a**(2**(s-k)) mod modulus for stages k = 1..s, by s-1 squarings."""
-    multipliers = [base]
-    for _ in range(s - 1):
-        multipliers.append(multipliers[-1] ** 2 % modulus)
-    return tuple(reversed(multipliers))
-
-
-def _gate_lines(modulus: int, base: int, s: int) -> Iterator[tuple]:
+def _gate_lines(circuit: Circuit) -> Iterator[tuple]:
     """The canonical layout as (kind, *args), four gates per stage.
 
     Stage k is PREP+; CMODMUL with its multiplier and the modulus, as
     decimal strings; H at stage 1 and VH k after it; MEAS k-1.
     """
-    n = to_decimal(modulus)
-    for k, multiplier in enumerate(_stage_multipliers(modulus, base, s), 1):
+    n = to_decimal(circuit.modulus)
+    for k, multiplier in enumerate(circuit.multipliers, 1):
         yield ("PREP+",)
         yield ("CMODMUL", to_decimal(multiplier), n)
         yield ("H",) if k == 1 else ("VH", k)
@@ -206,9 +198,11 @@ class Circuit:
 
     @property
     def multipliers(self) -> tuple[int, ...]:
-        """Per stage, first to last, the multiplier a**(2**(s-k)) mod n."""
-        return _stage_multipliers(self.modulus, self.base,
-                                  self.num_readout_bits)
+        """Per stage, first to last, a**(2**(s-k)) mod n by squarings."""
+        multipliers = [self.base]
+        for _ in range(self.num_readout_bits - 1):
+            multipliers.append(multipliers[-1] ** 2 % self.modulus)
+        return tuple(reversed(multipliers))
 
     @property
     def stage_shifts(self) -> tuple[int, ...]:
@@ -224,18 +218,17 @@ class Circuit:
         return tuple(reversed(shifts))
 
     def to_text(self) -> str:
-        lines = _gate_lines(self.modulus, self.base, self.num_readout_bits)
-        return "".join(" ".join(map(str, line)) + "\n" for line in lines)
+        return "".join(" ".join(map(str, line)) + "\n"
+                       for line in _gate_lines(self))
 
     def to_json_dict(self) -> dict:
-        lines = _gate_lines(self.modulus, self.base, self.num_readout_bits)
         return {
             "format": CIRCUIT_JSON_FORMAT,
             "version": 1,
             "num_readout_bits": self.num_readout_bits,
             "work_register_span": self.work_register_span,
             "gates": [{"gate": kind, **dict(zip(_GATE_ARGS[kind], args))}
-                      for kind, *args in lines],
+                      for kind, *args in _gate_lines(self)],
         }
 
 
@@ -255,6 +248,7 @@ class CompiledBase:
     sign_choice: Optional[tuple[str, str]] = None
 
     def __post_init__(self) -> None:
+        _check_integers(a=self.a, n=self.n, period=self.period)
         if not 1 < self.a < self.n - 1:
             raise DomainError("base must lie strictly between 1 and n-1")
         if self.period < 1:
@@ -313,6 +307,7 @@ def build_compiled_circuit(base: CompiledBase) -> Circuit:
 
 def default_s(n: int) -> int:
     """Smallest s with 2**s >= n*n (readout resolution for honest runs)."""
+    _check_integers(n=n)
     if n < 2:
         raise DomainError("modulus must be at least 2")
     return max(1, (n * n - 1).bit_length())
@@ -349,6 +344,7 @@ class QubitBudget:
 
 def zalka_qubit_count(n: int) -> QubitBudget:
     """Qubit budget for factoring n: 2 + ceil(3*bits/2) vs a flat 2."""
+    _check_integers(n=n)
     if n < 2:
         raise DomainError("modulus must be at least 2")
     bits = n.bit_length()

@@ -8,8 +8,9 @@ class ShorsimError(Exception):
 class DomainError(ShorsimError, ValueError):
     """An input violates a documented precondition.
 
-    An invalid circuit (modulus, base, stage count) is one; Circuit is
-    the only place that checks it.
+    An invalid circuit (modulus, base, stage count) is one; Circuit,
+    work_orbit, build_semiclassical_stages and dft_oracle_distribution
+    each check the parts they are given.
     """
 
 

@@ -236,6 +236,7 @@ class Semiprime:
         if (self.p is None) != (self.q is None):
             raise DomainError("provide both factors or neither")
         if self.p is not None and self.q is not None:
+            _check_integers(p=self.p, q=self.q)
             if self.p * self.q != self.n:
                 raise DomainError("p * q must equal n")
             if self.p == self.q:

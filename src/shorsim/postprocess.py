@@ -79,6 +79,7 @@ def extract_period(y: int, s_pow: int, a: int,
     always uninformative.
     """
     _check_nonneg(y, s_pow)
+    _check_integers(a=a, n=n)
     if y >= s_pow:
         raise DomainError("expected y < s_pow")
     if n < 2:
@@ -112,8 +113,10 @@ def derive_factors(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
     (x+1, n) when both are nontrivial; x = n-1 is the dead end that
     sends the caller back for a new base. Odd r: when a = b*b exactly,
     b has period dividing 2r, so n can still split at x = b**r; any
-    other base returns None. Returns the pair in ascending order.
+    other base returns None (a negative one is refused). Returns the
+    pair in ascending order.
     """
+    _check_integers(a=a, r=r, n=n)
     if r < 1:
         raise DomainError("period must be positive")
     if n < 2:
@@ -123,6 +126,8 @@ def derive_factors(a: int, r: int, n: int) -> Optional[tuple[int, int]]:
                           f"mod {signed_decimal(n)}: not a period")
     if r % 2 == 0:
         return _split_at(pow(a, r // 2, n), n)
+    if a < 0:
+        raise DomainError(f"a must be nonnegative, got {signed_decimal(a)}")
     b = math.isqrt(a)
     if b * b != a:
         return None

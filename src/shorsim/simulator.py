@@ -10,11 +10,12 @@ away with two work values while an honest run pays for the full cycle.
 In this basis each controlled multiply is a cyclic shift of the columns
 (Circuit.stage_shifts). run_circuit samples one trajectory in it:
 measurement collapses mid-circuit and the classical bits feed the later
-phase gates. Every shot takes its first stage in scalars; a one-stage
-shot, the compiled circuit's, ends there and loads no numpy. Each
-later stage costs a fixed handful of passes over two (2, r) buffers
-and two block norms. Stage k draws the k-th double of the
-shot's seeded stream, _pcg64's pure-Python copy of numpy's PCG64.
+phase gates. A shot returns its readout and each stage's odds of a 1.
+Every shot takes its first stage in scalars; a one-stage shot, the
+compiled circuit's, ends there and loads no numpy. Each later stage
+costs a fixed handful of passes over two (2, r) buffers and two block
+norms. Stage k draws the k-th double of the shot's seeded stream,
+_pcg64's pure-Python copy of numpy's PCG64.
 
 The exact routes, output_distribution and control_reduced_density,
 enumerate every measurement branch in the Fourier basis of Z_r instead,
@@ -24,9 +25,9 @@ time, never a complex 2**s x r state, and each block of readouts goes
 into the output as soon as its sums over the columns are complete. The
 feedback table of each readout size is built by the first exact call
 with that s and kept for the process. At s = 20 output_distribution
-peaks at 18 MiB under tracemalloc on that first call and at 12 MiB on
-later ones, 8 MiB of it the output; control_reduced_density peaks at
-10 and 4 MiB. The cached tables of every s <= 20 hold 12 MiB in all.
+peaks at 18 MiB under tracemalloc on that first call and 11.7 MiB on
+later ones, 8 MiB of it the output; control_reduced_density at 10 and
+3.7 MiB. The cached tables of every s <= 20 hold 12 MiB in all.
 
 Two exact-distribution routes exist on purpose: output_distribution
 enumerates the branches from the IR's stage shifts and feedback phases,
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from ._pcg64 import random_stream
@@ -76,7 +77,7 @@ if TYPE_CHECKING:
 #   (3, 31, 20)     30     15       52 ms     46 ms      41 ms     38 ms
 #   (19, 97, 20)    32     8        36 ms     31 ms      28 ms     26 ms
 #   (2, 65519, 10)  32759  32759    49 ms     50 ms      47 ms     46 ms
-#   peak, s = 20                    18 MiB    12 MiB     10 MiB    4 MiB
+#   peak, s = 20                    18 MiB    11.7 MiB   10 MiB    3.7 MiB
 #   peak, s = 10                    4 MiB     4 MiB      4 MiB     4 MiB
 MAX_DIST_READOUT_BITS = 20
 MAX_DIST_CELLS = 1 << 25
@@ -86,16 +87,6 @@ NORM_TOLERANCE = 1e-12
 # Bit for bit equal to 1.0 / np.sqrt(2.0) and to -2.0 * np.pi.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MINUS_TWO_PI = -2.0 * math.pi
-
-
-class StageRecord(NamedTuple):
-    """What one readout stage did: operand, feedback, outcome odds."""
-
-    stage: int
-    multiplier: int
-    phase: float
-    p_one: float
-    bit: int
 
 
 class OutcomeDistribution:
@@ -150,11 +141,12 @@ class OutcomeDistribution:
 
     def support(self) -> list[int]:
         """Outcomes with nonzero probability."""
-        return [int(y) for y in self._probs.nonzero()[0]]
+        return self._probs.nonzero()[0].tolist()
 
     def as_dict(self) -> dict[int, float]:
         """Probability per outcome in the support."""
-        return {y: float(self._probs[y]) for y in self.support()}
+        support = self._probs.nonzero()[0]
+        return dict(zip(support.tolist(), self._probs[support].tolist()))
 
 
 def total_variation(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
@@ -164,15 +156,22 @@ def total_variation(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
     return 0.5 * float(abs(d1.as_array() - d2.as_array()).sum())
 
 
-def run_circuit(circuit: Circuit,
-                seed: int) -> tuple[int, tuple[StageRecord, ...]]:
+def feedback_phase(y: int, k: int) -> float:
+    """Stage k's feedback angle -2*pi*P/2**k, P = y mod 2**(k-1), with
+    P/2**k rounded once so no k overflows; 0.0 at stage 1."""
+    if k == 1:
+        return 0.0
+    return _MINUS_TWO_PI * ((y & ((1 << (k - 1)) - 1)) / (1 << k))
+
+
+def run_circuit(circuit: Circuit, seed: int) -> tuple[int, tuple[float, ...]]:
     """Sample one trajectory; deterministic per seed.
 
     The work register starts at residue 1. Returns the readout y
     assembled from the measured bits (classical bit index = bit
-    significance) and one StageRecord per stage, first to last. Stage k
-    picks its outcome with the k-th double of _pcg64's copy of numpy's
-    PCG64 stream.
+    significance) and p_ones, per stage, first to last, the odds that
+    its bit read 1 given the bits before it. Stage k picks its outcome
+    with the k-th double of _pcg64's copy of numpy's PCG64 stream.
 
     Stage 1 is a few scalar operations with the floats numpy's passes
     would form. From residue 1, PREP+ and the Hadamard leave c =
@@ -192,7 +191,7 @@ def run_circuit(circuit: Circuit,
     allocation.
     """
     uniforms = random_stream(seed)
-    multipliers, shifts = circuit.multipliers, circuit.stage_shifts
+    shifts = circuit.stage_shifts
     shift = shifts[0]
     c = _INV_SQRT2 * _INV_SQRT2
     if shift == 0:
@@ -202,9 +201,8 @@ def run_circuit(circuit: Circuit,
     if not abs(p0 + p1 - 1.0) <= NORM_TOLERANCE:  # NaN fails too
         raise SimulationError(f"state norm drifted to {p0 + p1}")
     prefix = 1 if next(uniforms) < p1 else 0
-    records = [StageRecord(1, multipliers[0], 0.0, p1, prefix)]
     if len(shifts) == 1:
-        return prefix, tuple(records)
+        return prefix, (p1,)
     import numpy as np
 
     r = circuit.work_register_span
@@ -233,16 +231,12 @@ def run_circuit(circuit: Circuit,
     multiply, add, subtract, exp, vdot = (
         np.multiply, np.add, np.subtract, np.exp, np.vdot)
     inv_sqrt2 = _INV_SQRT2
-    stage = 1
-    for multiplier, shift, uniform in zip(multipliers[1:], shifts[1:],
-                                          uniforms):
-        stage += 1
+    p_ones = [p1]
+    for stage, (shift, uniform) in enumerate(zip(shifts[1:], uniforms), 2):
         # PREP+, then the controlled multiply shifts the control-|1> block
-        # and its copy takes the feedback angle from the bits measured so
-        # far: -2*pi*P/2**k, P/2**k rounded once, so no k overflows a float
+        # and its copy takes the feedback angle of the bits measured so far
         multiply(pre0_parts, inv_sqrt2, pre0_parts)
-        phase = _MINUS_TWO_PI * (prefix / (1 << stage))
-        turn = exp(1j * phase)
+        turn = exp(1j * feedback_phase(prefix, stage))
         multiply(pre0[:r - shift], turn, pre1[shift:])
         multiply(pre0[r - shift:], turn, pre1[:shift])
         add(pre0, pre1, post0)
@@ -258,8 +252,8 @@ def run_circuit(circuit: Circuit,
         multiply(kept_parts[outcome], 1.0 / math.sqrt(p1 if outcome else p0),
                  pre0_parts)
         prefix |= outcome << (stage - 1)
-        records.append(StageRecord(stage, multiplier, phase, p1, outcome))
-    return prefix, tuple(records)
+        p_ones.append(p1)
+    return prefix, tuple(p_ones)
 
 
 def _check_readout_bits(s: int) -> None:

@@ -689,8 +689,20 @@ class TestSerialization:
     (lambda: zalka_qubit_count(1), "modulus must be at least 2"),
     # refused before a % n could divide by zero
     (lambda: build_semiclassical_stages(3, 0), "modulus must be at least 2"),
+    # refused before pow or int.bit_length could raise a bare TypeError
+    # or AttributeError
+    (lambda: CompiledBase(4.0, 15, 2), "^a must be an integer"),
+    (lambda: CompiledBase(4, 15.0, 2), "^n must be an integer"),
+    (lambda: CompiledBase(4, 15, 2.0), "^period must be an integer"),
+    (lambda: CompiledBase(4, 15, True), "^period must be an integer"),
+    (lambda: default_s(15.0), "^n must be an integer"),
+    (lambda: zalka_qubit_count(15.0), "^n must be an integer"),
+    (lambda: zalka_qubit_count(True), "^n must be an integer"),
 ], ids=["compiled-base-period-0", "default-s-of-1", "qubit-budget-of-1",
-        "stages-mod-0"])
+        "stages-mod-0", "compiled-base-float-base",
+        "compiled-base-float-modulus", "compiled-base-float-period",
+        "compiled-base-bool-period", "default-s-float", "qubit-budget-float",
+        "qubit-budget-bool"])
 def test_input_checks_refuse(build, message):
     with pytest.raises(DomainError, match=message):
         build()

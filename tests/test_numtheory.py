@@ -414,7 +414,13 @@ class TestDecimalHelpers:
     (lambda: is_probable_prime(True), "expected an integer, got bool"),
     (lambda: multiplicative_order(1, 1), "modulus must be at least 2"),
     (lambda: multiplicative_order(1, 0), "modulus must be at least 2"),
-], ids=["bool-is-no-integer", "order-mod-1", "order-mod-0"])
+    # a float pair whose product is n reached int.bit_length
+    (lambda: Semiprime(15, 3.0, 5.0), "^p must be an integer, got float"),
+    (lambda: Semiprime(15, 3, 5.0), "^q must be an integer, got float"),
+    (lambda: Semiprime(15, True, 15), "^p must be an integer, got bool"),
+], ids=["bool-is-no-integer", "order-mod-1", "order-mod-0",
+        "semiprime-float-factors", "semiprime-float-second-factor",
+        "semiprime-bool-factor"])
 def test_input_checks_refuse(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -52,7 +52,7 @@ def test_public_surface():
         "DomainError", "FactorReport", "NotCompilableError",
         "OutcomeDistribution", "QubitBudget",
         "RefusedTooLargeError", "Semiprime", "ShorsimError", "SimulationError",
-        "StageRecord", "SupplementaryFixture", "VerificationError",
+        "SupplementaryFixture", "VerificationError",
         "__version__", "build_compiled_circuit", "build_semiclassical_stages",
         "coin_factor_demo", "control_reduced_density",
         "default_s", "derive_factors", "dft_oracle_distribution",

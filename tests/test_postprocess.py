@@ -109,6 +109,16 @@ class TestExtractPeriod:
         with pytest.raises(DomainError, match=message):
             extract_period(y, s_pow, 7, n)
 
+    @pytest.mark.parametrize("a, n, name", [
+        (2.0, 15, "a"),
+        (True, 15, "a"),
+        (2, 15.0, "n"),
+    ], ids=["float-base", "bool-base", "float-modulus"])
+    def test_refuses_what_is_not_an_integer(self, a, n, name):
+        # before pow could raise a bare TypeError
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            extract_period(1, 4, a, n)
+
     def test_never_returns_an_unverified_period(self):
         for y in range(256):
             found = extract_period(y, 256, 7, 15)
@@ -156,6 +166,19 @@ class TestDeriveFactors:
         # refused before pow(2, 1, 0) can raise a bare ValueError
         with pytest.raises(DomainError, match="modulus must be at least 2"):
             derive_factors(2, 1, n)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.0, 4, 15), "^a must be an integer, got float"),
+        ((2, 4.0, 15), "^r must be an integer, got float"),
+        ((2, 4, 15.0), "^n must be an integer, got float"),
+        ((True, 4, 15), "^a must be an integer, got bool"),
+        ((-4, 1, 5), "^a must be nonnegative, got -4$"),
+    ], ids=["float-base", "float-period", "float-modulus", "bool-base",
+            "negative-base-odd-period"])
+    def test_refuses_what_is_not_an_integer(self, args, message):
+        # before pow raised a bare TypeError, or math.isqrt a ValueError
+        with pytest.raises(DomainError, match=message):
+            derive_factors(*args)
 
     def test_odd_period_defers_to_rescue(self):
         assert derive_factors(4, 3, 21) == (3, 7)

@@ -19,6 +19,7 @@ import pytest
 
 from shorsim import _kernels, simulator
 from shorsim.compiler import (
+    Circuit,
     build_compiled_circuit,
     build_semiclassical_stages,
     default_s,
@@ -34,6 +35,7 @@ from shorsim.simulator import (
     OutcomeDistribution,
     control_reduced_density,
     dft_oracle_distribution,
+    feedback_phase,
     output_distribution,
     run_circuit,
     total_variation,
@@ -84,6 +86,11 @@ class TestOutcomeDistribution:
         assert dist[2] == dist[np.int64(2)] == dist[np.uint8(2)] == 0.75
         assert dist.support() == [0, 2]
         assert dist.as_dict() == {0: 0.25, 2: 0.75}
+        # plain Python numbers, in readout order, as the dist JSON needs
+        assert [type(y) for y in dist.support()] == [int, int]
+        assert [(type(y), type(p)) for y, p in dist.as_dict().items()] \
+            == [(int, float), (int, float)]
+        assert list(dist.as_dict()) == [0, 2]
 
     @pytest.mark.parametrize("y", [-1, -16, 16, 1 << 70])
     def test_readout_outside_the_register_is_refused(self, y):
@@ -426,6 +433,31 @@ class TestFoldedStages:
             monkeypatch.setattr(np, name, poisoned)
         assert outputs() == want
 
+    @pytest.mark.parametrize("a,n,s,cells,buffers", [
+        (13, 15, 20, None, 1), (7, 311, 20, None, 1), (7, 311, 16, None, 1),
+        (2, 2039, 4, 1 << 10, 2), (7, 311, 10, 1 << 10, 2)])
+    def test_one_chunk_makes_one_moment_buffer(self, monkeypatch, a, n, s,
+                                               cells, buffers):
+        # a block's moments are 3**L x block floats; a second such
+        # buffer holds a later column chunk's moments before they are
+        # added, so only a tree grown in more than one chunk makes it
+        if cells is not None:
+            monkeypatch.setattr(_kernels, "CHUNK_CELLS", cells)
+        circuit = build_semiclassical_stages(a, n, s)
+        made = []
+        for name in ("empty", "empty_like"):
+            def counted(*args, _make=getattr(np, name), **kwargs):
+                array = _make(*args, **kwargs)
+                made.append(array.shape)
+                return array
+
+            monkeypatch.setattr(np, name, counted)
+        output_distribution(circuit)
+        moments = [shape for shape in made if len(shape) == 2
+                   and shape[0] == 3 ** _kernels.FOLD_STAGES]
+        assert len(moments) == buffers
+        assert len(set(moments)) == 1
+
     @pytest.mark.parametrize("s", range(1, 13))
     def test_feedback_table_is_the_unit_circle(self, s):
         table_cos, table_sin = _kernels._feedback_table(s)
@@ -622,14 +654,14 @@ class TestExactMemory:
 
     @pytest.mark.parametrize("a,n", [(8, 15), (7, 311)], ids=["r4", "r31"])
     def test_output_distribution_warm(self, a, n):
-        # 12.0 MiB measured: the 8 MiB output and the 4 MiB of branch
+        # 11.7 MiB measured: the 8 MiB output and the 3.7 MiB of branch
         # cells, scratch and moments; the cached table is not allocated
         circuit = build_semiclassical_stages(a, n, 20)
         assert self._peak_mib(lambda: output_distribution(circuit)) < 13
 
     @pytest.mark.parametrize("a,n", [(8, 15), (7, 311)], ids=["r4", "r31"])
     def test_control_reduced_density_warm(self, a, n):
-        # 4.0 MiB measured: the branch cells, scratch and moments alone
+        # 3.7 MiB measured: the branch cells, scratch and moments alone
         circuit = build_semiclassical_stages(a, n, 20)
         assert self._peak_mib(lambda: control_reduced_density(circuit)) < 5
 
@@ -673,15 +705,37 @@ class TestRunCircuit:
 
     def test_trace_shape(self):
         circuit = build_semiclassical_stages(7, 15, 5)
-        y, stages = run_circuit(circuit, 7)
-        assert [rec.stage for rec in stages] == [1, 2, 3, 4, 5]
-        assert tuple(rec.multiplier for rec in stages) == circuit.multipliers
-        assert y == sum(rec.bit << i for i, rec in enumerate(stages))
+        y, p_ones = run_circuit(circuit, 7)
+        assert 0 <= y < 1 << 5
+        assert len(p_ones) == 5
+        assert all(type(p_one) is float and 0.0 <= p_one <= 1.0
+                   for p_one in p_ones)
 
-    def test_first_stage_has_no_feedback(self):
-        circuit = build_semiclassical_stages(7, 15, 4)
-        _, stages = run_circuit(circuit, 3)
-        assert stages[0].phase == 0.0
+    def test_shot_never_reads_the_multipliers(self, monkeypatch):
+        # a shot needs only the shifts; the multipliers are the CLI's to
+        # print, so a shot that formed them would fail here
+        circuits = [build_semiclassical_stages(7, 15, 8),
+                    build_semiclassical_stages(2, 337, 12),
+                    build_semiclassical_stages(4, 15, 1)]
+        shots = [run_circuit(circuit, seed)
+                 for circuit in circuits for seed in range(4)]
+
+        def refuse(self):
+            raise AssertionError("a shot read Circuit.multipliers")
+
+        monkeypatch.setattr(Circuit, "multipliers", property(refuse))
+        assert [run_circuit(circuit, seed)
+                for circuit in circuits for seed in range(4)] == shots
+
+    def test_feedback_phase(self):
+        # stage 1 has no feedback; later stages read the bits below k - 1
+        # and keep the sign of -2*pi*0, which the CLI prints as -0.0
+        assert math.copysign(1.0, feedback_phase(0b111, 1)) == 1.0
+        assert feedback_phase(0b111, 1) == 0.0
+        assert math.copysign(1.0, feedback_phase(0b100, 3)) == -1.0
+        assert feedback_phase(0b100, 3) == 0.0
+        assert feedback_phase(0b101, 3) == -2.0 * math.pi * (1 / 8)
+        assert feedback_phase(0b1011, 3) == -2.0 * math.pi * (3 / 8)
 
     @pytest.mark.parametrize("s", [1023, 1100])
     def test_long_readout_keeps_the_odds_finite(self, s):
@@ -689,10 +743,11 @@ class TestRunCircuit:
         # numerator from stage 1023 on
         circuit = build_semiclassical_stages(2, 337, s)
         for seed in (1, 2, 4):
-            y, stages = run_circuit(circuit, seed)
-            assert len(stages) == s and 0 <= y < 1 << s
-            assert all(math.isfinite(rec.p_one) and math.isfinite(rec.phase)
-                       for rec in stages)
+            y, p_ones = run_circuit(circuit, seed)
+            assert len(p_ones) == s and 0 <= y < 1 << s
+            assert all(math.isfinite(p_one) for p_one in p_ones)
+            assert all(math.isfinite(feedback_phase(y, k))
+                       for k in range(1, s + 1))
 
     def test_nan_state_fails_the_norm_check(self, monkeypatch):
         monkeypatch.setattr(simulator, "_INV_SQRT2", float("nan"))
@@ -711,8 +766,9 @@ class TestRunCircuit:
         for _ in range(DEFAULT_MAX_ATTEMPTS):
             a = master.randrange(2, n - 1)
             circuit = build_semiclassical_stages(a, n, default_s(n))
-            y, stages = run_circuit(circuit, master.getrandbits(63))
-            assert y == sum(rec.bit << i for i, rec in enumerate(stages))
+            y, p_ones = run_circuit(circuit, master.getrandbits(63))
+            assert len(p_ones) == circuit.num_readout_bits
+            assert 0 <= y < 1 << circuit.num_readout_bits
             bases.append(a)
         assert bases[60] == 7815
 
@@ -738,15 +794,13 @@ class TestRunCircuit:
         circuit = build_semiclassical_stages(a, n, s)
         probs = output_distribution(circuit).as_array()
         for seed in range(6):
-            _, stages = run_circuit(circuit, seed)
-            prefix = 0
-            for k, record in enumerate(stages, start=1):
+            y, p_ones = run_circuit(circuit, seed)
+            for k, p_one in enumerate(p_ones, start=1):
                 # y's low k bits are the first k stages' outcomes
+                prefix = y & ((1 << (k - 1)) - 1)
                 low = probs.reshape(-1, 1 << k).sum(axis=0)
                 seen = low[prefix] + low[prefix | 1 << (k - 1)]
-                assert abs(record.p_one
-                           - low[prefix | 1 << (k - 1)] / seen) < 1e-9
-                prefix |= record.bit << (k - 1)
+                assert abs(p_one - low[prefix | 1 << (k - 1)] / seen) < 1e-9
 
     def test_shot_works_in_preallocated_buffers(self):
         # the state is a fixed handful of complex r-vectors, not a
@@ -803,6 +857,15 @@ def reference_run_circuit(circuit, seed):
     return prefix, records
 
 
+def shot_records(circuit, y, p_ones):
+    """A shot as reference_run_circuit's (stage, multiplier, phase,
+    p_one, bit) tuples: the multipliers from the circuit, the phases
+    and bits from y."""
+    return [(k, multiplier, feedback_phase(y, k), p_one, y >> (k - 1) & 1)
+            for k, (multiplier, p_one)
+            in enumerate(zip(circuit.multipliers, p_ones), start=1)]
+
+
 def _honest_reference_cases():
     """(a, n, s): two drawn bases per honest benchmark modulus, a base
     of order 16020 mod 32399 (the longest period there), r = 1 and
@@ -834,11 +897,11 @@ class TestRunCircuitMatchesReference:
         # same stream of uniforms: every field equal, no tolerance
         circuit = build_semiclassical_stages(a, n, s)
         for seed in (0, 1, 7, 2 ** 62 + 5):
-            y, records = run_circuit(circuit, seed)
+            y, p_ones = run_circuit(circuit, seed)
             ref_y, ref_records = reference_run_circuit(circuit, seed)
             assert y == ref_y
-            assert [(rec.stage, rec.multiplier, rec.phase, rec.p_one,
-                     rec.bit) for rec in records] == ref_records
+            assert len(p_ones) == s
+            assert shot_records(circuit, y, p_ones) == ref_records
 
     @pytest.mark.parametrize("a,n,r", [(1, 15, 1), (4, 15, 2), (14, 15, 2)])
     def test_one_stage_scalars_are_bit_identical(self, a, n, r):
@@ -849,11 +912,11 @@ class TestRunCircuitMatchesReference:
         draw = random.Random(a * n)
         seeds = list(range(100)) + [draw.getrandbits(63) for _ in range(100)]
         for seed in seeds:
-            y, records = run_circuit(circuit, seed)
+            y, p_ones = run_circuit(circuit, seed)
             ref_y, ref_records = reference_run_circuit(circuit, seed)
             assert y == ref_y
-            assert [(rec.stage, rec.multiplier, rec.phase, rec.p_one,
-                     rec.bit) for rec in records] == ref_records
+            assert len(p_ones) == 1
+            assert shot_records(circuit, y, p_ones) == ref_records
         if r > 1:
             assert {run_circuit(circuit, seed)[0] for seed in seeds} == {0, 1}
 
@@ -861,31 +924,6 @@ class TestRunCircuitMatchesReference:
         monkeypatch.setattr(simulator, "_INV_SQRT2", 0.75)
         with pytest.raises(SimulationError, match="norm drifted to 1.26"):
             run_circuit(build_semiclassical_stages(4, 15, 1), 0)
-
-
-class TestStageRecord:
-    def test_fields_in_order(self):
-        assert simulator.StageRecord._fields == (
-            "stage", "multiplier", "phase", "p_one", "bit")
-
-    def test_repr_names_every_field(self):
-        rec = simulator.StageRecord(stage=2, multiplier=4, phase=-1.5,
-                                    p_one=0.25, bit=1)
-        assert repr(rec) == ("StageRecord(stage=2, multiplier=4, "
-                             "phase=-1.5, p_one=0.25, bit=1)")
-
-    def test_fields_cannot_be_assigned(self):
-        rec = simulator.StageRecord(1, 7, 0.0, 0.5, 0)
-        with pytest.raises(AttributeError):
-            rec.bit = 1
-        assert rec.bit == 0
-
-    def test_equal_values_make_equal_records(self):
-        first = simulator.StageRecord(3, 13, -0.5, 0.75, 1)
-        second = simulator.StageRecord(stage=3, multiplier=13, phase=-0.5,
-                                       p_one=0.75, bit=1)
-        assert first == second
-        assert first != simulator.StageRecord(3, 13, -0.5, 0.75, 0)
 
 
 class TestGuards:
