@@ -48,4 +48,3 @@ def test_simulate_digest_covers_four_seeded_runs(capsys):
                          "--n", n, "--s", s, "--seed", str(seed)]) == 0
         outs.append(capsys.readouterr().out)
     assert digest == hashlib.sha256("".join(outs).encode()).hexdigest()
-
